@@ -78,7 +78,8 @@ def _add_common(parser):
                         help="reuse a non-empty output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (never changes results)")
+                        help="accepted and ignored: work is single-threaded "
+                             "apart from BLAS")
 
 
 def _add_preproc_flags(parser):
@@ -96,9 +97,8 @@ def _add_preproc_flags(parser):
 
 
 def _dataset_preproc(trial_set, args):
-    return PreprocSpec(
-        stim_freqs=tuple(trial_set.meta["stim_freqs"]),
-        sample_rate=trial_set.sample_rate,
+    return PreprocSpec.for_trial_set(
+        trial_set,
         half_bandwidth=args.half_bandwidth,
         filter_order=args.filter_order,
         latency_seconds=args.latency,
@@ -138,9 +138,8 @@ def cmd_train(args):
         mean_kwargs["mean_tolerance"] = args.mean_tol
     if args.mean_max_iter is not None:
         mean_kwargs["mean_max_iterations"] = args.mean_max_iter
-    model, report = mdrm.train(
-        trial_set, estimator, preproc,
-        potato_z=args.potato_z, threads=args.threads, **mean_kwargs)
+    model, report = mdrm.train(trial_set, estimator, preproc,
+                               potato_z=args.potato_z, **mean_kwargs)
     mdrm.save_model(model, out / "model.mdrm")
     _write_json(out / "train_report.json", report)
     config = {
@@ -247,8 +246,7 @@ def cmd_bench(args):
     preproc = _dataset_preproc(trial_set, args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RankDeficientCovarianceWarning)
-        report = metrics.run_benchmark(trial_set, config, preproc,
-                                       threads=args.threads)
+        report = metrics.run_benchmark(trial_set, config, preproc)
     deficient = sum(issubclass(w.category, RankDeficientCovarianceWarning)
                     for w in caught)
     if deficient:

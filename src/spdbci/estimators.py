@@ -24,6 +24,16 @@ class RankDeficientCovarianceWarning(UserWarning):
     """Raised (as a warning) when an estimate is not numerically full rank."""
 
 
+def check_finite(values, what):
+    """Reject NaN or infinite samples, naming the first one."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        channel, sample = np.argwhere(~finite)[0]
+        raise ValidationError(
+            f"{what} has a non-finite value {values[channel, sample]} at "
+            f"channel {channel}, sample {sample}")
+
+
 @dataclass(frozen=True)
 class Trial:
     """A multichannel recording segment.
@@ -40,6 +50,7 @@ class Trial:
             raise ValidationError(f"trial values must be 2-D, got {values.ndim}-D")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValidationError(f"trial values must be nonempty, got {values.shape}")
+        check_finite(values, "trial")
         if not self.sample_rate > 0:
             raise ValidationError("sample_rate must be positive")
         object.__setattr__(self, "values", values)
@@ -175,23 +186,6 @@ def nscm(trial):
     return (cov + cov.T) / 2.0
 
 
-def _scm_moments(trial):
-    """SCM plus the entrywise variance of its entries.
-
-    The variance estimate follows the usual unbiased construction: with
-    ``w_nij`` the product of centered channel samples and ``wbar`` its
-    time average, ``Var(scm_ij) ~= n/(n-1)^3 * sum_n (w_nij - wbar_ij)^2``.
-    """
-    xc = _centered(trial)
-    n = trial.samples
-    wbar = (xc @ xc.T) / n
-    sq = xc * xc
-    second = sq @ sq.T
-    var = (n / (n - 1.0) ** 3) * (second - n * wbar * wbar)
-    cov = wbar * (n / (n - 1.0))
-    return (cov + cov.T) / 2.0, var
-
-
 def shrinkage_target(cov, target, blankertz_scale="matrix_space"):
     """Structured target matrix for the given SCM.
 
@@ -219,7 +213,24 @@ def analytic_kappa(trial, target, blankertz_scale="matrix_space"):
     untouched (the diagonal, for the ``schafer`` target) contribute to
     neither sum.
     """
-    cov, var = _scm_moments(trial)
+    xc = _centered(trial)
+    return _kappa(xc, xc @ xc.T, target, blankertz_scale)
+
+
+def _kappa(xc, gram, target, blankertz_scale):
+    """:func:`analytic_kappa` from the centered trial and its Gram matrix.
+
+    The variance of the SCM entries follows the usual unbiased
+    construction: with ``w_nij`` the product of centered channel samples
+    and ``wbar`` its time average,
+    ``Var(scm_ij) ~= n/(n-1)^3 * sum_n (w_nij - wbar_ij)^2``.
+    """
+    n = xc.shape[1]
+    wbar = gram / n
+    sq = xc * xc
+    var = (n / (n - 1.0) ** 3) * (sq @ sq.T - n * wbar * wbar)
+    cov = wbar * (n / (n - 1.0))
+    cov = (cov + cov.T) / 2.0
     tgt = shrinkage_target(cov, target, blankertz_scale)
     diff = cov - tgt
     if target == "schafer":
@@ -247,18 +258,22 @@ def shrinkage(trial, spec=None):
 
 
 def shrinkage_with_kappa(trial, spec=None):
-    """Like :func:`shrinkage` but also returns the kappa that was applied."""
+    """Like :func:`shrinkage` but also returns the kappa that was applied.
+
+    The SCM and the analytic kappa share one centered Gram matrix.
+    """
     if spec is None:
         spec = EstimatorSpec(kind="shrinkage")
     if spec.kind != "shrinkage":
         raise ValidationError("spec.kind must be 'shrinkage'")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RankDeficientCovarianceWarning)
-        cov = scm(trial)
+    xc = _centered(trial)
+    gram = xc @ xc.T
+    cov = gram / (trial.samples - 1)
+    cov = (cov + cov.T) / 2.0
     tgt = shrinkage_target(cov, spec.target, spec.blankertz_scale)
     kappa = spec.kappa
     if kappa is None:
-        kappa = analytic_kappa(trial, spec.target, spec.blankertz_scale)
+        kappa = _kappa(xc, gram, spec.target, spec.blankertz_scale)
     shrunk = kappa * tgt + (1.0 - kappa) * cov
     return (shrunk + shrunk.T) / 2.0, kappa
 

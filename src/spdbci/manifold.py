@@ -37,7 +37,7 @@ def _as_square(a, name):
     return a
 
 
-def symmetrize(a, name="matrix", rtol=SYMMETRY_RTOL):
+def symmetrize(a, name="matrix"):
     """Return (A + A^T)/2 after checking A is symmetric within tolerance.
 
     Asymmetry is measured as ||A - A^T||_F relative to ||A||_F. Below the
@@ -47,7 +47,7 @@ def symmetrize(a, name="matrix", rtol=SYMMETRY_RTOL):
     a = _as_square(a, name)
     norm = np.linalg.norm(a)
     asym = np.linalg.norm(a - a.T)
-    if asym > rtol * max(norm, 1.0):
+    if asym > SYMMETRY_RTOL * max(norm, 1.0):
         raise ValidationError(
             f"{name} is not symmetric: relative asymmetry {asym / max(norm, 1e-300):.3e}"
         )
@@ -65,38 +65,35 @@ def _eigh_spd(p, name):
     return w, u
 
 
-def is_spd(a, rtol=SYMMETRY_RTOL):
-    """True if ``a`` is symmetric within tolerance with all eigenvalues > 0."""
-    try:
-        _eigh_spd(a, "matrix")
-    except ValidationError:
-        return False
-    return True
+def _spectral(w, u, f):
+    """``U diag(f(w)) U^T`` for the eigenpairs ``(w, u)`` of a symmetric matrix."""
+    return (u * f(w)) @ u.T
+
+
+def _whitening(p, name):
+    """``(P^1/2, P^-1/2)`` from one eigendecomposition of the SPD matrix P."""
+    w, u = _eigh_spd(p, name)
+    return _spectral(w, u, np.sqrt), (u / np.sqrt(w)) @ u.T
 
 
 def matrix_exp(s):
     """Matrix exponential of a symmetric matrix; the result is SPD."""
-    s = symmetrize(s, "tangent matrix")
-    w, u = np.linalg.eigh(s)
-    return (u * np.exp(w)) @ u.T
+    return _spectral(*np.linalg.eigh(symmetrize(s, "tangent matrix")), np.exp)
 
 
 def matrix_log(p):
     """Matrix logarithm of an SPD matrix; the result is symmetric."""
-    w, u = _eigh_spd(p, "matrix")
-    return (u * np.log(w)) @ u.T
+    return _spectral(*_eigh_spd(p, "matrix"), np.log)
 
 
 def matrix_sqrt(p):
     """Unique SPD square root of an SPD matrix."""
-    w, u = _eigh_spd(p, "matrix")
-    return (u * np.sqrt(w)) @ u.T
+    return _spectral(*_eigh_spd(p, "matrix"), np.sqrt)
 
 
 def matrix_invsqrt(p):
     """Inverse of the SPD square root of an SPD matrix."""
-    w, u = _eigh_spd(p, "matrix")
-    return (u / np.sqrt(w)) @ u.T
+    return _whitening(p, "matrix")[1]
 
 
 def _check_same_dim(a, b):
@@ -112,6 +109,14 @@ def _clamped_positive(w, name):
     return np.maximum(w, top * EIG_FLOOR_RTOL)
 
 
+def _whitened_log(inv_half, point, name):
+    """``Log(B^-1/2 P B^-1/2)`` given ``inv_half = B^-1/2``, with roundoff-
+    negative eigenvalues of the whitened point clamped."""
+    inner = inv_half @ point @ inv_half
+    w, u = np.linalg.eigh((inner + inner.T) / 2.0)
+    return _spectral(_clamped_positive(w, name), u, np.log)
+
+
 def exp_map(base, tangent):
     """Map a tangent (symmetric) matrix at ``base`` onto the manifold.
 
@@ -121,11 +126,10 @@ def exp_map(base, tangent):
     tangent = _as_square(tangent, "tangent")
     _check_same_dim(base, tangent)
     tangent = symmetrize(tangent, "tangent")
-    w, u = _eigh_spd(base, "base")
-    half = (u * np.sqrt(w)) @ u.T
-    inv_half = (u / np.sqrt(w)) @ u.T
-    inner = symmetrize(inv_half @ tangent @ inv_half, rtol=np.inf)
-    return symmetrize(half @ matrix_exp(inner) @ half, rtol=np.inf)
+    half, inv_half = _whitening(base, "base")
+    inner = inv_half @ tangent @ inv_half
+    out = half @ matrix_exp((inner + inner.T) / 2.0) @ half
+    return (out + out.T) / 2.0
 
 
 def log_map(base, point):
@@ -137,14 +141,9 @@ def log_map(base, point):
     base = _as_square(base, "base")
     point = symmetrize(point, "point")
     _check_same_dim(base, point)
-    w, u = _eigh_spd(base, "base")
-    half = (u * np.sqrt(w)) @ u.T
-    inv_half = (u / np.sqrt(w)) @ u.T
-    inner = symmetrize(inv_half @ point @ inv_half, rtol=np.inf)
-    wi, ui = np.linalg.eigh(inner)
-    wi = _clamped_positive(wi, "point")
-    inner_log = (ui * np.log(wi)) @ ui.T
-    return symmetrize(half @ inner_log @ half, rtol=np.inf)
+    half, inv_half = _whitening(base, "base")
+    out = half @ _whitened_log(inv_half, point, "point") @ half
+    return (out + out.T) / 2.0
 
 
 def distance(p1, p2):
@@ -212,21 +211,14 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
         _eigh_spd(mats[0], "points[0]")
         return mats[0]
 
-    mean = symmetrize(sum(mats) / len(mats), rtol=np.inf)
+    mean = sum(mats) / len(mats)
     residual = np.inf
     scale = 1.0
     previous = None
     for _ in range(max_iterations):
-        w, u = _eigh_spd(mean, "mean iterate")
-        half = (u * np.sqrt(w)) @ u.T
-        inv_half = (u / np.sqrt(w)) @ u.T
-        step = np.zeros_like(mean)
-        for i, m in enumerate(mats):
-            inner = symmetrize(inv_half @ m @ inv_half, rtol=np.inf)
-            wi, ui = np.linalg.eigh(inner)
-            wi = _clamped_positive(wi, f"points[{i}]")
-            step += (ui * np.log(wi)) @ ui.T
-        step /= len(mats)
+        half, inv_half = _whitening(mean, "mean iterate")
+        step = sum(_whitened_log(inv_half, m, f"points[{i}]")
+                   for i, m in enumerate(mats)) / len(mats)
         # residual is the Frobenius norm of the mean tangent step expressed
         # at the iterate, i.e. of mean_n log_map(G, P_n).
         residual = float(np.linalg.norm(half @ step @ half))
@@ -242,7 +234,8 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
         else:
             previous = (mean, half, step, residual)
             scale = min(1.0, scale * 2.0)
-        mean = symmetrize(half @ matrix_exp(scale * step) @ half, rtol=np.inf)
+        mean = half @ matrix_exp(scale * step) @ half
+        mean = (mean + mean.T) / 2.0
     raise ConvergenceError(
         f"geometric mean did not converge in {max_iterations} iterations "
         f"(residual {residual:.3e}, tolerance {tolerance:.3e})",

@@ -8,7 +8,7 @@ centers are computed.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +27,34 @@ from .preprocessing import (
 
 MODEL_FORMAT_VERSION = "MDRM v1"
 
+# The model header written by save_model: every key, and the kind of its
+# value.
+_INT = "an integer"
+_NUMBER = "a finite number"
+_NUMBER_OR_NULL = "a finite number or null"
+_NUMBERS = "a list of finite numbers"
+_STRING = "a string"
+_HEADER_FIELDS = {
+    "version": _STRING,
+    "class_count": _INT,
+    "dim": _INT,
+    "estimator_spec": {
+        "kind": _STRING, "target": _STRING, "kappa": _NUMBER_OR_NULL,
+        "blankertz_scale": _STRING, "fp_tolerance": _NUMBER,
+        "fp_max_iterations": _INT,
+    },
+    "preproc_spec": {
+        "stim_freqs": _NUMBERS, "sample_rate": _NUMBER,
+        "half_bandwidth": _NUMBER, "filter_order": _INT,
+        "latency_seconds": _NUMBER,
+    },
+    "mean_tolerance": _NUMBER,
+    "mean_max_iterations": _INT,
+}
+
 DEFAULT_POTATO_Z = 2.5
+
+DEFAULT_STIM_FREQS = (13.0, 17.0, 21.0)
 
 # A mean pooled across classes sits between well-separated clusters, where
 # the mean iteration converges slowly; such references only anchor
@@ -55,6 +82,15 @@ class PreprocSpec:
                            tuple(float(f) for f in self.stim_freqs))
         if self.latency_seconds < 0:
             raise ValidationError("latency must be nonnegative")
+
+    @classmethod
+    def for_trial_set(cls, trial_set, **overrides):
+        """Preprocessing for a trial set: its stimulus frequencies (from
+        ``meta``, else :data:`DEFAULT_STIM_FREQS`) and sample rate, with
+        any other field given in ``overrides``."""
+        freqs = tuple(trial_set.meta.get("stim_freqs", ())) or DEFAULT_STIM_FREQS
+        return cls(stim_freqs=freqs, sample_rate=trial_set.sample_rate,
+                   **overrides)
 
     def to_dict(self):
         return {
@@ -130,13 +166,6 @@ def trial_covariance(trial, preproc, estimator_spec, latency_override=None):
                     estimator_spec)
 
 
-def _map_ordered(fn, items, threads):
-    if threads and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def train(trial_set, estimator_spec=None, preproc_spec=None,
           potato_z=None, mean_tolerance=manifold.DEFAULT_MEAN_TOLERANCE,
           mean_max_iterations=manifold.DEFAULT_MEAN_MAX_ITERATIONS,
@@ -151,13 +180,14 @@ def train(trial_set, estimator_spec=None, preproc_spec=None,
     Returns ``(model, report)`` where the report records the kappa values
     used (shrinkage) and, when the potato filter ran, per-class rejection
     counts so the caller can veto overzealous filtering.
+
+    ``threads`` is accepted and ignored: work is single-threaded apart
+    from BLAS.
     """
     if estimator_spec is None:
         estimator_spec = EstimatorSpec()
     if preproc_spec is None:
-        preproc_spec = PreprocSpec(
-            stim_freqs=tuple(trial_set.meta.get("stim_freqs", ())) or (13.0, 17.0, 21.0),
-            sample_rate=trial_set.sample_rate)
+        preproc_spec = PreprocSpec.for_trial_set(trial_set)
     k = trial_set.class_count
     if k < 2:
         raise ValidationError("training needs at least 2 classes")
@@ -166,9 +196,8 @@ def train(trial_set, estimator_spec=None, preproc_spec=None,
         if cls not in labels:
             raise ValidationError(f"class {cls} has no training trials")
 
-    covs = _map_ordered(
-        lambda t: trial_covariance(t, preproc_spec, estimator_spec),
-        trial_set.trials, threads)
+    covs = [trial_covariance(t, preproc_spec, estimator_spec)
+            for t in trial_set.trials]
 
     report = {"trials": len(covs), "class_count": k}
     if potato_z is not None:
@@ -202,7 +231,7 @@ def train(trial_set, estimator_spec=None, preproc_spec=None,
                 last_iterate=exc.last_iterate,
                 residual=exc.residual) from exc
 
-    centers = _map_ordered(class_mean, list(range(1, k + 1)), threads)
+    centers = [class_mean(cls) for cls in range(1, k + 1)]
     model = ClassModel(tuple(centers), estimator_spec, preproc_spec,
                        mean_tolerance, mean_max_iterations)
     return model, report
@@ -290,11 +319,19 @@ def load_model(path):
         header = json.loads(blob[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"unreadable model header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ManifestError("model header must be a JSON object")
     if header.get("version") != MODEL_FORMAT_VERSION:
         raise UnsupportedVersionError(
             f"unsupported model version {header.get('version')!r}")
-    k = int(header["class_count"])
-    dim = int(header["dim"])
+    _check_fields(header, _HEADER_FIELDS, "model header")
+    k = header["class_count"]
+    dim = header["dim"]
+    n_freqs = len(header["preproc_spec"]["stim_freqs"])
+    if k < 1 or dim < 1 or n_freqs < 1 or dim % n_freqs:
+        raise ManifestError(
+            f"model header declares {k} classes of dim {dim} over "
+            f"{n_freqs} stimulus frequencies")
     payload = blob[newline + 1:]
     expected = k * dim * dim * 8
     if len(payload) != expected:
@@ -302,12 +339,54 @@ def load_model(path):
             f"model payload holds {len(payload)} bytes, header implies "
             f"{expected}")
     flat = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise ManifestError("model payload holds non-finite values")
     centers = tuple(flat[i * dim * dim:(i + 1) * dim * dim]
                     .reshape(dim, dim).copy() for i in range(k))
+    try:
+        estimator_spec = EstimatorSpec.from_dict(header["estimator_spec"])
+        preproc_spec = PreprocSpec.from_dict(header["preproc_spec"])
+    except ValidationError as exc:
+        raise ManifestError(f"invalid model header: {exc}") from exc
     return ClassModel(
         centers=centers,
-        estimator_spec=EstimatorSpec.from_dict(header["estimator_spec"]),
-        preproc_spec=PreprocSpec.from_dict(header["preproc_spec"]),
+        estimator_spec=estimator_spec,
+        preproc_spec=preproc_spec,
         mean_tolerance=header["mean_tolerance"],
         mean_max_iterations=header["mean_max_iterations"],
     )
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _fits(value, kind):
+    if kind == _INT:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if kind == _NUMBER:
+        return _is_number(value)
+    if kind == _NUMBER_OR_NULL:
+        return value is None or _is_number(value)
+    if kind == _NUMBERS:
+        return isinstance(value, list) and all(map(_is_number, value))
+    return isinstance(value, str)
+
+
+def _check_fields(obj, fields, where):
+    """Raise ManifestError unless ``obj`` is a JSON object holding exactly
+    the keys of ``fields``, each value of its kind (nested dicts recurse)."""
+    if not isinstance(obj, dict):
+        raise ManifestError(f"{where} must be a JSON object")
+    missing = sorted(set(fields) - set(obj))
+    unexpected = sorted(set(obj) - set(fields))
+    if missing or unexpected:
+        raise ManifestError(f"{where} lacks keys {missing} or has "
+                            f"unexpected keys {unexpected}")
+    for key, kind in fields.items():
+        if isinstance(kind, dict):
+            _check_fields(obj[key], kind, f"{where}.{key}")
+        elif not _fits(obj[key], kind):
+            raise ManifestError(
+                f"{where}.{key} must be {kind}, got {obj[key]!r}")

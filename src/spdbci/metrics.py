@@ -10,7 +10,6 @@ improvement over the plain sample covariance baseline.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +203,7 @@ def _crop(trial, length_seconds):
     return Trial(trial.values[:, :count], trial.sample_rate)
 
 
-def _covariance_cache(trial_set, preproc, specs, lengths, threads):
+def _covariance_cache(trial_set, preproc, specs, lengths):
     """Covariance (and kappa) of every trial per length and estimator.
 
     Resampling reuses the same trials across replications, so each
@@ -217,39 +216,28 @@ def _covariance_cache(trial_set, preproc, specs, lengths, threads):
                     for t in trial_set.trials]
         for spec in specs:
             key = (length, estimator_label(spec))
-
-            def one(trial, spec=spec):
-                if spec.kind == "shrinkage":
-                    return shrinkage_with_kappa(trial, spec)
-                return estimate(trial, spec), None
-
-            results = _pmap(one, extended, threads)
+            if spec.kind == "shrinkage":
+                results = [shrinkage_with_kappa(t, spec) for t in extended]
+            else:
+                results = [(estimate(t, spec), None) for t in extended]
             cache[key] = [cov for cov, _ in results]
             kap = [kappa for _, kappa in results if kappa is not None]
             kappas[key] = float(np.mean(kap)) if kap else None
     return cache, kappas
 
 
-def _pmap(fn, items, threads):
-    if threads and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     """Bootstrap comparison of covariance estimators under MDRM.
 
     Resample indices for every replication are drawn up front from the
-    seed, so results do not depend on execution order or thread count.
-    The plain SCM is always evaluated as the baseline for the
-    discrimination-improvement column.
+    seed, so results do not depend on execution order. The plain SCM is
+    always evaluated as the baseline for the discrimination-improvement
+    column. ``threads`` is accepted and ignored: work is single-threaded
+    apart from BLAS.
     """
     config = config or BenchConfig()
     if preproc is None:
-        preproc = PreprocSpec(
-            stim_freqs=tuple(trial_set.meta.get("stim_freqs", ())) or (13.0, 17.0, 21.0),
-            sample_rate=trial_set.sample_rate)
+        preproc = PreprocSpec.for_trial_set(trial_set)
     k = trial_set.class_count
     min_duration = min(t.duration for t in trial_set.trials)
     for length in config.trial_lengths_seconds:
@@ -283,11 +271,9 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     if not any(estimator_label(s) == "scm" for s in specs):
         specs = specs + [baseline]
     lengths = list(config.trial_lengths_seconds)
-    cache, kappas = _covariance_cache(trial_set, preproc, specs, lengths,
-                                      threads)
+    cache, kappas = _covariance_cache(trial_set, preproc, specs, lengths)
 
-    def evaluate_split(args):
-        train_idx, test_idx, covs = args
+    def evaluate_split(train_idx, test_idx, covs):
         by_cls = {}
         for i in train_idx:
             by_cls.setdefault(trial_set.labels[i], []).append(covs[i])
@@ -317,18 +303,16 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     rows = []
     for length in lengths:
         scm_key = (length, "scm")
-        scm_runs = _pmap(evaluate_split,
-                         [(tr, te, cache[scm_key]) for tr, te in splits],
-                         threads)
+        scm_runs = [evaluate_split(tr, te, cache[scm_key])
+                    for tr, te in splits]
         for spec in config.estimators:
             label = estimator_label(spec)
             key = (length, label)
             if label == "scm":
                 runs = scm_runs
             else:
-                runs = _pmap(evaluate_split,
-                             [(tr, te, cache[key]) for tr, te in splits],
-                             threads)
+                runs = [evaluate_split(tr, te, cache[key])
+                        for tr, te in splits]
             accs, itrs, idis = [], [], []
             stalled_total = 0
             for (preds, scores, truth, stalled), (_, scm_scores, _, _) in \

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimators import Trial, estimate
+from .estimators import Trial, check_finite, estimate
 from .mdrm import classify_covariance
 from .preprocessing import BandpassFilterBank, EpochPlan
 
@@ -107,28 +107,42 @@ def curve_criterion(deltas, candidate):
     return float(value), value < 0.0
 
 
-class _GrowBuffer:
-    """Append-only 2-D sample buffer with amortized O(1) growth."""
+class _WindowBuffer:
+    """Filtered samples from the first one a later epoch still needs.
 
-    def __init__(self, rows, capacity=4096):
-        self._data = np.empty((rows, capacity))
+    Column ``j`` holds absolute sample ``start + j``. An append that would
+    overflow first drops the samples before ``keep_from`` (the start of
+    the next epoch, so less than a window is kept) and moves the rest to
+    the front; the array grows only when those plus the new chunk still
+    do not fit. With frames no longer than a window it stays at two
+    windows, and each move copies fewer samples than were appended since
+    the previous one.
+    """
+
+    def __init__(self, rows, window):
+        self._data = np.empty((rows, 2 * window))
+        self._start = 0
         self._len = 0
 
-    def __len__(self):
-        return self._len
+    @property
+    def capacity(self):
+        return self._data.shape[1]
 
-    def append(self, chunk):
-        need = self._len + chunk.shape[1]
-        if need > self._data.shape[1]:
-            grown = np.empty((self._data.shape[0],
-                              max(need, 2 * self._data.shape[1])))
-            grown[:, :self._len] = self._data[:, :self._len]
-            self._data = grown
-        self._data[:, self._len:need] = chunk
-        self._len = need
+    def append(self, chunk, keep_from):
+        m = chunk.shape[1]
+        if self._len + m > self.capacity:
+            drop = keep_from - self._start
+            kept = self._data[:, drop:self._len]
+            if kept.shape[1] + m > self.capacity:
+                self._data = np.empty((self._data.shape[0], kept.shape[1] + m))
+            self._data[:, :kept.shape[1]] = kept
+            self._start += drop
+            self._len = kept.shape[1]
+        self._data[:, self._len:self._len + m] = chunk
+        self._len += m
 
     def window(self, start, end):
-        return self._data[:, start:end]
+        return self._data[:, start - self._start:end - self._start]
 
 
 class OnlineState:
@@ -155,7 +169,7 @@ class OnlineState:
         plan = self.config.plan()
         self._w = plan.window_samples(self.sample_rate)
         self._step = plan.step_samples(self.sample_rate)
-        self._buffer = _GrowBuffer(model.dim)
+        self._buffer = _WindowBuffer(model.dim, self._w)
         self._labels = deque(maxlen=self.config.depth)
         self._deltas = deque(maxlen=self.config.depth)
         self.epoch_index = 0
@@ -179,7 +193,9 @@ class OnlineState:
             raise ValidationError(
                 f"frame has {frame.shape[0]} channels, stream expects "
                 f"{self.channels}")
-        self._buffer.append(self._bank.process(frame))
+        check_finite(frame, "frame")
+        self._buffer.append(self._bank.process(frame),
+                            self._next_boundary() - self._w)
         self.samples_seen += frame.shape[1]
         decisions = []
         while self._next_boundary() <= self.samples_seen:

@@ -274,8 +274,12 @@ def load(path):
                 f"{expected} ({channels} channels x {count} samples)")
         values = np.frombuffer(raw, dtype="<f8").reshape(channels, int(count))
         trials.append(Trial(values.copy(), sample_rate))
-    return TrialSet(trials, [int(x) for x in labels],
-                    dict(manifest.get("meta", {})))
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ManifestError("manifest.json meta must be a JSON object")
+    meta = dict(meta)
+    meta.setdefault("stim_freqs", manifest["stim_freqs"])
+    return TrialSet(trials, [int(x) for x in labels], meta)
 
 
 def stratified_split(trial_set, train_per_class):

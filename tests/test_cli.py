@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import pytest
 
@@ -207,3 +208,83 @@ def test_potato_report(tmp_path, trained):
     assert len(lines) == 1 + 16
     doc = json.loads((out / "potato.json").read_text())
     assert doc["kept"] + doc["rejected"] == 16
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs: documented exit codes, never a traceback
+# ---------------------------------------------------------------------------
+
+def test_nan_sample_is_validation_error(tmp_path, trained):
+    data, model = trained
+    payload = data / "trial_0002.f64"
+    values = bytearray(payload.read_bytes())
+    values[8 * 50:8 * 51] = struct.pack("<d", float("nan"))
+    payload.write_bytes(bytes(values))
+    assert run("train", "--data", data, "--out", tmp_path / "m2") == 2
+    assert run("eval", "--data", data, "--model", model,
+               "--out", tmp_path / "e") == 2
+
+
+@pytest.fixture(scope="module")
+def trained_once(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    data = gen_small(root, trials_per_class=2)
+    assert run("train", "--data", data, "--out", root / "model") == 0
+    return data, root / "model" / "model.mdrm"
+
+
+def _drop_mean_tolerance(header):
+    del header["mean_tolerance"]
+
+
+def _extra_estimator_key(header):
+    header["estimator_spec"]["shrink"] = True
+
+
+def _string_class_count(header):
+    header["class_count"] = "four"
+
+
+def _fractional_class_count(header):
+    header["class_count"] = 4.5
+
+
+def _unknown_estimator_kind(header):
+    header["estimator_spec"]["kind"] = "magic"
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_mean_tolerance, _extra_estimator_key, _string_class_count,
+    _fractional_class_count, _unknown_estimator_kind,
+])
+def test_corrupt_model_header_is_format_error(tmp_path, trained_once, edit,
+                                              capsys):
+    data, model = trained_once
+    header, payload = model.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    edit(doc)
+    broken = tmp_path / "broken.mdrm"
+    broken.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    assert run("eval", "--data", data, "--model", broken,
+               "--out", tmp_path / "e") == 4
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_non_finite_model_payload_is_format_error(tmp_path, trained_once):
+    data, model = trained_once
+    header, payload = model.read_bytes().split(b"\n", 1)
+    broken = tmp_path / "broken.mdrm"
+    broken.write_bytes(header + b"\n" + struct.pack("<d", float("nan"))
+                       + payload[8:])
+    assert run("eval", "--data", data, "--model", broken,
+               "--out", tmp_path / "e") == 4
+
+
+def test_train_on_manifest_without_meta(tmp_path):
+    data = gen_small(tmp_path)
+    manifest_path = data / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["meta"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert synthgen.load(data).meta["stim_freqs"] == manifest["stim_freqs"]
+    assert run("train", "--data", data, "--out", tmp_path / "m") == 0

@@ -126,6 +126,15 @@ def test_classify_rejects_wrong_sample_rate():
         mdrm.classify(wrong, model)
 
 
+def test_classify_rejects_non_finite_trial():
+    ts, cfg = small_set(trials_per_class=1)
+    model, _ = mdrm.train(ts, EstimatorSpec(), preproc_for(cfg))
+    values = ts.trials[0].values.copy()
+    values[2, 100] = np.inf
+    with pytest.raises(ValidationError, match="non-finite"):
+        mdrm.classify(Trial(values, cfg.sample_rate), model)
+
+
 def test_classify_covariance_dim_mismatch():
     ts, cfg = small_set(trials_per_class=1)
     model, _ = mdrm.train(ts, EstimatorSpec(), preproc_for(cfg))

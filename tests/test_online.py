@@ -273,3 +273,34 @@ def test_epoch_log_csv(tmp_path, trained):
     assert len(lines) == 1 + len(report.epoch_log)
     first = lines[1].split(",")
     assert first[0] == "1"
+
+
+def test_buffer_bounded_and_frame_size_invariant(trained):
+    # 48 s of stream: the two-window buffer is compacted many times over.
+    model, test = trained
+    stream = np.hstack([t.values for t in test.trials])
+    runs = []
+    for frame in (1, 32, 1000):
+        state = OnlineState(model, OnlineConfig())
+        decisions = []
+        for start in range(0, stream.shape[1], frame):
+            decisions.extend(state.push_samples(stream[:, start:start + frame]))
+            w = state._w
+            assert state._buffer.capacity <= max(2 * w, w + frame)
+        runs.append((decisions, state.epoch_log))
+    assert runs[0][1], "expected epochs on a 48 s stream"
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_non_finite_frame_rejected_without_touching_state(trained):
+    model, test = trained
+    stream = test.trials[0].values
+    bad = stream[:, :64].copy()
+    bad[3, 10] = np.nan
+    state = OnlineState(model, OnlineConfig())
+    with pytest.raises(ValidationError, match="non-finite"):
+        state.push_samples(bad)
+    assert state.samples_seen == 0
+    fresh = OnlineState(model, OnlineConfig())
+    assert state.push_samples(stream) == fresh.push_samples(stream)
+    assert state.epoch_log == fresh.epoch_log
