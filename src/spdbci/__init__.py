@@ -5,8 +5,9 @@ estimators (:mod:`spdbci.estimators`), causal band-pass preprocessing
 (:mod:`spdbci.preprocessing`), a synthetic SSVEP-like data generator
 (:mod:`spdbci.synthgen`), minimum-distance-to-mean classification
 (:mod:`spdbci.mdrm`), the curve-based online classifier
-(:mod:`spdbci.online`), and evaluation metrics plus the bootstrap
-benchmark (:mod:`spdbci.metrics`).
+(:mod:`spdbci.online`), evaluation metrics plus the bootstrap
+benchmark (:mod:`spdbci.metrics`), and the on-disk formats
+(:mod:`spdbci.formats`).
 """
 
 __version__ = "0.1.0"

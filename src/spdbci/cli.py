@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 """
 
 import argparse
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -18,6 +17,7 @@ from pathlib import Path
 from . import __version__, mdrm, metrics, online, synthgen
 from .errors import DataFormatError, NumericalError, ValidationError
 from .estimators import RankDeficientCovarianceWarning, spec_from_name
+from .formats import csv_cell, write_csv, write_json
 from .mdrm import PreprocSpec
 from .metrics import BenchConfig
 from .online import OnlineConfig
@@ -47,29 +47,15 @@ def _prepare_out(path, force):
     return out
 
 
-def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_run_manifest(out, command, config, seed, artifacts):
     # Thread count is deliberately not recorded: it never changes outputs.
-    _write_json(out / "run_manifest.json", {
+    write_json(out / "run_manifest.json", {
         "command": command,
         "config": config,
         "seed": seed,
         "artifacts": sorted(artifacts),
         "library_version": __version__,
     })
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _add_common(parser):
@@ -141,7 +127,7 @@ def cmd_train(args):
     model, report = mdrm.train(trial_set, estimator, preproc,
                                potato_z=args.potato_z, **mean_kwargs)
     mdrm.save_model(model, out / "model.mdrm")
-    _write_json(out / "train_report.json", report)
+    write_json(out / "train_report.json", report)
     config = {
         "data": str(args.data),
         "estimator": estimator.to_dict(),
@@ -180,31 +166,26 @@ def cmd_eval(args):
     curved = online.evaluate_stream(trial_set, model, curve_config)
 
     truth = list(trial_set.labels)
-    rows_path = out / "eval.csv"
-    with open(rows_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial,truth,offline,offline_opt,online,online_delay_s,"
-                 "online_curve,online_curve_delay_s\n")
-        for i, true_label in enumerate(truth):
-            po = plain.outcomes[i]
-            co = curved.outcomes[i]
-            fh.write(",".join([
-                str(i), str(true_label), str(offline[i]), str(offline_opt[i]),
-                _fmt(po.decided_label), _fmt(po.delay_seconds),
-                _fmt(co.decided_label), _fmt(co.delay_seconds),
-            ]) + "\n")
-        fh.write(",".join([
-            "mean", "",
-            repr(metrics.accuracy(offline, truth)),
-            repr(metrics.accuracy(offline_opt, truth)),
-            _fmt(plain.accuracy), _fmt(plain.mean_delay),
-            _fmt(curved.accuracy), _fmt(curved.mean_delay),
-        ]) + "\n")
+    offline_acc = metrics.accuracy(offline, truth)
+    offline_opt_acc = metrics.accuracy(offline_opt, truth)
+    rows = [[i, true_label, offline[i], offline_opt[i],
+             po.decided_label, po.delay_seconds,
+             co.decided_label, co.delay_seconds]
+            for i, (true_label, po, co)
+            in enumerate(zip(truth, plain.outcomes, curved.outcomes))]
+    rows.append(["mean", None, offline_acc, offline_opt_acc,
+                 plain.accuracy, plain.mean_delay,
+                 curved.accuracy, curved.mean_delay])
+    write_csv(out / "eval.csv",
+              ("trial", "truth", "offline", "offline_opt", "online",
+               "online_delay_s", "online_curve", "online_curve_delay_s"),
+              rows)
 
     online.write_epoch_log(plain.epoch_log, out / "epochs_online.csv")
     online.write_epoch_log(curved.epoch_log, out / "epochs_online_curve.csv")
     summary = {
-        "offline_acc": metrics.accuracy(offline, truth),
-        "offline_opt_acc": metrics.accuracy(offline_opt, truth),
+        "offline_acc": offline_acc,
+        "offline_opt_acc": offline_opt_acc,
         "offline_opt_latency_s": args.latency,
         "online_acc": plain.accuracy,
         "online_mean_delay_s": plain.mean_delay,
@@ -215,7 +196,7 @@ def cmd_eval(args):
         "online_curve_decided": curved.decided_count,
         "online_curve_held_back": curved.held_back_count,
     }
-    _write_json(out / "eval.json", summary)
+    write_json(out / "eval.json", summary)
     config = {
         "data": str(args.data), "model": str(args.model),
         "latency": args.latency, "window": args.window, "step": args.step,
@@ -226,10 +207,10 @@ def cmd_eval(args):
                          "epochs_online_curve.csv"])
     print(f"offline {summary['offline_acc']:.2f}% | "
           f"offline opt {summary['offline_opt_acc']:.2f}% | "
-          f"online {_fmt(summary['online_acc'])}% "
-          f"({_fmt(summary['online_mean_delay_s'])} s) | "
-          f"online+curve {_fmt(summary['online_curve_acc'])}% "
-          f"({_fmt(summary['online_curve_mean_delay_s'])} s)")
+          f"online {csv_cell(summary['online_acc'])}% "
+          f"({csv_cell(summary['online_mean_delay_s'])} s) | "
+          f"online+curve {csv_cell(summary['online_curve_acc'])}% "
+          f"({csv_cell(summary['online_curve_mean_delay_s'])} s)")
 
 
 def cmd_bench(args):
@@ -318,16 +299,16 @@ def cmd_potato(args):
     out = _prepare_out(args.out, args.force)
     covs, preproc, estimator = _dataset_covariances(trial_set, args)
     result = mdrm.potato_filter(covs, z_threshold=args.z)
-    with open(out / "potato.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial,label,distance,zscore,kept\n")
-        for i, (dist, z) in enumerate(zip(result.distances, result.zscores)):
-            kept = 1 if i in result.kept else 0
-            fh.write(f"{i},{trial_set.labels[i]},{dist!r},{z!r},{kept}\n")
+    write_csv(out / "potato.csv",
+              ("trial", "label", "distance", "zscore", "kept"),
+              [(i, trial_set.labels[i], dist, z, i in result.kept)
+               for i, (dist, z) in enumerate(zip(result.distances,
+                                                 result.zscores))])
     rejected_by_class = {}
     for i in result.rejected:
         lab = trial_set.labels[i]
         rejected_by_class[lab] = rejected_by_class.get(lab, 0) + 1
-    _write_json(out / "potato.json", {
+    write_json(out / "potato.json", {
         "z_threshold": args.z,
         "kept": len(result.kept),
         "rejected": len(result.rejected),

@@ -8,7 +8,7 @@ sample mean over time before forming second moments.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,14 +102,7 @@ class EstimatorSpec:
             raise ValidationError("fp_tolerance must be positive")
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "target": self.target,
-            "kappa": self.kappa,
-            "blankertz_scale": self.blankertz_scale,
-            "fp_tolerance": self.fp_tolerance,
-            "fp_max_iterations": self.fp_max_iterations,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -8,19 +8,20 @@ centers are computed.
 """
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import manifold
-from .errors import ConvergenceError, ManifestError, ShapeMismatchError, \
-    UnsupportedVersionError, ValidationError
+from .errors import ConvergenceError, ManifestError, ValidationError
 from .estimators import EstimatorSpec, estimate
+from .formats import INT, NUMBER, NUMBER_OR_NULL, NUMBERS, STRING, \
+    f64_array, f64_bytes, read_header
 from .preprocessing import (
     DEFAULT_FILTER_ORDER,
     DEFAULT_HALF_BANDWIDTH,
+    FilterSpec,
     extend_trial,
     trim_latency,
 )
@@ -29,27 +30,22 @@ MODEL_FORMAT_VERSION = "MDRM v1"
 
 # The model header written by save_model: every key, and the kind of its
 # value.
-_INT = "an integer"
-_NUMBER = "a finite number"
-_NUMBER_OR_NULL = "a finite number or null"
-_NUMBERS = "a list of finite numbers"
-_STRING = "a string"
 _HEADER_FIELDS = {
-    "version": _STRING,
-    "class_count": _INT,
-    "dim": _INT,
+    "version": STRING,
+    "class_count": INT,
+    "dim": INT,
     "estimator_spec": {
-        "kind": _STRING, "target": _STRING, "kappa": _NUMBER_OR_NULL,
-        "blankertz_scale": _STRING, "fp_tolerance": _NUMBER,
-        "fp_max_iterations": _INT,
+        "kind": STRING, "target": STRING, "kappa": NUMBER_OR_NULL,
+        "blankertz_scale": STRING, "fp_tolerance": NUMBER,
+        "fp_max_iterations": INT,
     },
     "preproc_spec": {
-        "stim_freqs": _NUMBERS, "sample_rate": _NUMBER,
-        "half_bandwidth": _NUMBER, "filter_order": _INT,
-        "latency_seconds": _NUMBER,
+        "stim_freqs": NUMBERS, "sample_rate": NUMBER,
+        "half_bandwidth": NUMBER, "filter_order": INT,
+        "latency_seconds": NUMBER,
     },
-    "mean_tolerance": _NUMBER,
-    "mean_max_iterations": _INT,
+    "mean_tolerance": NUMBER,
+    "mean_max_iterations": INT,
 }
 
 DEFAULT_POTATO_Z = 2.5
@@ -82,6 +78,9 @@ class PreprocSpec:
                            tuple(float(f) for f in self.stim_freqs))
         if self.latency_seconds < 0:
             raise ValidationError("latency must be nonnegative")
+        for freq in self.stim_freqs:
+            FilterSpec(freq, self.half_bandwidth, self.filter_order,
+                       self.sample_rate)
 
     @classmethod
     def for_trial_set(cls, trial_set, **overrides):
@@ -93,21 +92,11 @@ class PreprocSpec:
                    **overrides)
 
     def to_dict(self):
-        return {
-            "stim_freqs": list(self.stim_freqs),
-            "sample_rate": self.sample_rate,
-            "half_bandwidth": self.half_bandwidth,
-            "filter_order": self.filter_order,
-            "latency_seconds": self.latency_seconds,
-        }
+        return {**asdict(self), "stim_freqs": list(self.stim_freqs)}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(stim_freqs=tuple(d["stim_freqs"]),
-                   sample_rate=d["sample_rate"],
-                   half_bandwidth=d["half_bandwidth"],
-                   filter_order=d["filter_order"],
-                   latency_seconds=d["latency_seconds"])
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -248,8 +237,13 @@ def classify_covariance(cov, model):
         raise ValidationError(
             f"covariance dim {cov.shape[0]} does not match model dim "
             f"{model.dim}")
-    dists = np.array([manifold.distance(cov, center)
-                      for center in model.centers])
+    return nearest_center(cov, model.centers)
+
+
+def nearest_center(cov, centers):
+    """Label (1-based) of the center nearest ``cov`` in geodesic distance,
+    and the distances to all centers. Exact ties go to the lowest label."""
+    dists = np.array([manifold.distance(cov, center) for center in centers])
     return int(np.argmin(dists)) + 1, dists
 
 
@@ -301,30 +295,19 @@ def save_model(model, path):
         "mean_tolerance": model.mean_tolerance,
         "mean_max_iterations": model.mean_max_iterations,
     }
-    payload = b"".join(
-        np.ascontiguousarray(c, dtype="<f8").tobytes(order="C")
-        for c in model.centers)
-    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload
+    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" \
+        + f64_bytes(model.centers)
     Path(path).write_bytes(blob)
     return Path(path)
 
 
 def load_model(path):
     """Read a model written by :func:`save_model`, bit-exactly."""
-    blob = Path(path).read_bytes()
-    newline = blob.find(b"\n")
-    if newline < 0:
+    line, newline, payload = Path(path).read_bytes().partition(b"\n")
+    if not newline:
         raise ManifestError(f"{path} has no model header line")
-    try:
-        header = json.loads(blob[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"unreadable model header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ManifestError("model header must be a JSON object")
-    if header.get("version") != MODEL_FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"unsupported model version {header.get('version')!r}")
-    _check_fields(header, _HEADER_FIELDS, "model header")
+    header = read_header(line, _HEADER_FIELDS, MODEL_FORMAT_VERSION,
+                         "model header")
     k = header["class_count"]
     dim = header["dim"]
     n_freqs = len(header["preproc_spec"]["stim_freqs"])
@@ -332,61 +315,18 @@ def load_model(path):
         raise ManifestError(
             f"model header declares {k} classes of dim {dim} over "
             f"{n_freqs} stimulus frequencies")
-    payload = blob[newline + 1:]
-    expected = k * dim * dim * 8
-    if len(payload) != expected:
-        raise ShapeMismatchError(
-            f"model payload holds {len(payload)} bytes, header implies "
-            f"{expected}")
-    flat = np.frombuffer(payload, dtype="<f8")
-    if not np.isfinite(flat).all():
+    centers = f64_array(payload, (k, dim, dim), "model payload")
+    if not np.isfinite(centers).all():
         raise ManifestError("model payload holds non-finite values")
-    centers = tuple(flat[i * dim * dim:(i + 1) * dim * dim]
-                    .reshape(dim, dim).copy() for i in range(k))
     try:
         estimator_spec = EstimatorSpec.from_dict(header["estimator_spec"])
         preproc_spec = PreprocSpec.from_dict(header["preproc_spec"])
     except ValidationError as exc:
         raise ManifestError(f"invalid model header: {exc}") from exc
     return ClassModel(
-        centers=centers,
+        centers=tuple(centers),
         estimator_spec=estimator_spec,
         preproc_spec=preproc_spec,
         mean_tolerance=header["mean_tolerance"],
         mean_max_iterations=header["mean_max_iterations"],
     )
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
-def _fits(value, kind):
-    if kind == _INT:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if kind == _NUMBER:
-        return _is_number(value)
-    if kind == _NUMBER_OR_NULL:
-        return value is None or _is_number(value)
-    if kind == _NUMBERS:
-        return isinstance(value, list) and all(map(_is_number, value))
-    return isinstance(value, str)
-
-
-def _check_fields(obj, fields, where):
-    """Raise ManifestError unless ``obj`` is a JSON object holding exactly
-    the keys of ``fields``, each value of its kind (nested dicts recurse)."""
-    if not isinstance(obj, dict):
-        raise ManifestError(f"{where} must be a JSON object")
-    missing = sorted(set(fields) - set(obj))
-    unexpected = sorted(set(obj) - set(fields))
-    if missing or unexpected:
-        raise ManifestError(f"{where} lacks keys {missing} or has "
-                            f"unexpected keys {unexpected}")
-    for key, kind in fields.items():
-        if isinstance(kind, dict):
-            _check_fields(obj[key], kind, f"{where}.{key}")
-        elif not _fits(obj[key], kind):
-            raise ManifestError(
-                f"{where}.{key} must be {kind}, got {obj[key]!r}")

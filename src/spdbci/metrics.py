@@ -8,19 +8,20 @@ information transfer rate, matrix conditioning, and the discrimination
 improvement over the plain sample covariance baseline.
 """
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import manifold
 from .errors import ConvergenceError, ValidationError
 from .estimators import EstimatorSpec, Trial, estimate, shrinkage_with_kappa
+from .formats import write_csv, write_json
 from .mdrm import (
     POOLED_MEAN_MAX_ITERATIONS,
     POOLED_MEAN_TOLERANCE,
     PreprocSpec,
+    nearest_center,
     preprocess_trial,
 )
 
@@ -152,6 +153,12 @@ class BenchRow:
     unconverged_means: int = 0
 
 
+# Report column names, one per BenchRow field in field order.
+BENCH_COLUMNS = ("estimator", "length_s", "acc_mean", "acc_std", "itr_mean",
+                 "itr_std", "cond_mean", "idi_mean", "kappa_mean",
+                 "unconverged_means")
+
+
 @dataclass
 class BenchReport:
     rows: list
@@ -159,39 +166,14 @@ class BenchReport:
     seed: int
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("estimator,length_s,acc_mean,acc_std,itr_mean,itr_std,"
-                     "cond_mean,idi_mean,kappa_mean,unconverged_means\n")
-            for r in self.rows:
-                kappa = "" if r.kappa_mean is None else repr(r.kappa_mean)
-                fh.write(f"{r.estimator},{r.length_seconds!r},{r.acc_mean!r},"
-                         f"{r.acc_std!r},{r.itr_mean!r},{r.itr_std!r},"
-                         f"{r.cond_mean!r},{r.idi_mean!r},{kappa},"
-                         f"{r.unconverged_means}\n")
+        write_csv(path, BENCH_COLUMNS, map(astuple, self.rows))
 
     def to_json(self, path):
-        doc = {
+        write_json(path, {
             "replications": self.replications,
             "seed": self.seed,
-            "rows": [
-                {
-                    "estimator": r.estimator,
-                    "length_s": r.length_seconds,
-                    "acc_mean": r.acc_mean,
-                    "acc_std": r.acc_std,
-                    "itr_mean": r.itr_mean,
-                    "itr_std": r.itr_std,
-                    "cond_mean": r.cond_mean,
-                    "idi_mean": r.idi_mean,
-                    "kappa_mean": r.kappa_mean,
-                    "unconverged_means": r.unconverged_means,
-                }
-                for r in self.rows
-            ],
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            "rows": [dict(zip(BENCH_COLUMNS, astuple(r))) for r in self.rows],
+        })
 
 
 def _crop(trial, length_seconds):
@@ -294,8 +276,8 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
         predictions = []
         scores = []
         for i in test_idx:
-            dists = np.array([manifold.distance(covs[i], c) for c in centers])
-            predictions.append(int(np.argmin(dists)) + 1)
+            label, dists = nearest_center(covs[i], centers)
+            predictions.append(label)
             scores.append(scores_from_distances(dists))
         truth = [trial_set.labels[i] for i in test_idx]
         return predictions, np.array(scores), truth, stalled
@@ -406,11 +388,9 @@ def tangent_embed(covs, labels=None):
 
 def write_embedding_csv(embedding, path, centers=None):
     """CSV of 2-D points with labels, plus optional class-center rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,label,x,y\n")
-        for (x, y), label in zip(embedding.coords, embedding.labels):
-            fh.write(f"trial,{label},{x!r},{y!r}\n")
-        if centers is not None:
-            center_coords = embedding.project(centers)
-            for cls, (x, y) in enumerate(center_coords, start=1):
-                fh.write(f"center,{cls},{x!r},{y!r}\n")
+    rows = [("trial", label, x, y)
+            for (x, y), label in zip(embedding.coords, embedding.labels)]
+    if centers is not None:
+        rows += [("center", cls, x, y) for cls, (x, y)
+                 in enumerate(embedding.project(centers), start=1)]
+    write_csv(path, ("kind", "label", "x", "y"), rows)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .estimators import Trial, check_finite, estimate
+from .formats import write_csv
 from .mdrm import classify_covariance
 from .preprocessing import BandpassFilterBank, EpochPlan
 
@@ -326,18 +327,7 @@ def evaluate_stream(trial_set, model, config=None):
 
 def write_epoch_log(epoch_log, path):
     """Dump the per-epoch gating trace as CSV for post-hoc plotting."""
-    def fmt(value):
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,end_seconds,label,candidate,rho,delta,decided\n")
-        for row in epoch_log:
-            fh.write(",".join(fmt(row[key]) for key in
-                              ("epoch", "end_seconds", "label", "candidate",
-                               "rho", "delta", "decided")) + "\n")
+    columns = ("epoch", "end_seconds", "label", "candidate", "rho", "delta",
+               "decided")
+    write_csv(path, columns, ([row[key] for key in columns]
+                              for row in epoch_log))

@@ -12,25 +12,29 @@ describing shapes and labels plus one raw little-endian float64 payload
 per trial, and a ``labels.csv`` for external tooling.
 """
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ManifestError,
-    MissingPayloadError,
-    ShapeMismatchError,
-    UnsupportedVersionError,
-    ValidationError,
-)
+from .errors import ManifestError, MissingPayloadError, ValidationError
 from .estimators import Trial
+from .formats import INT, INTS, NUMBER, NUMBERS, OPTIONAL_OBJECT, STRING, \
+    STRINGS, f64_array, f64_bytes, read_header, write_csv, write_json
 
 FORMAT_VERSION = "EEGSET v1"
 
-_MANIFEST_KEYS = ("version", "channels", "sample_rate", "stim_freqs",
-                  "labels", "samples", "payloads")
+# The manifest written by save: every key, and the kind of its value.
+_MANIFEST_FIELDS = {
+    "version": STRING,
+    "channels": INT,
+    "sample_rate": NUMBER,
+    "stim_freqs": NUMBERS,
+    "labels": INTS,
+    "samples": INTS,
+    "payloads": STRINGS,
+    "meta": OPTIONAL_OBJECT,
+}
 
 
 @dataclass(frozen=True)
@@ -73,17 +77,7 @@ class GenConfig:
         return len(self.stim_freqs) + 1
 
     def to_dict(self):
-        return {
-            "channels": self.channels,
-            "sample_rate": self.sample_rate,
-            "stim_freqs": list(self.stim_freqs),
-            "trial_seconds": self.trial_seconds,
-            "trials_per_class": self.trials_per_class,
-            "snr_db": self.snr_db,
-            "harmonics": self.harmonics,
-            "transition_carryover_seconds": self.transition_carryover_seconds,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "stim_freqs": list(self.stim_freqs)}
 
 
 @dataclass
@@ -209,11 +203,10 @@ def save(trial_set, path):
     payloads = []
     for i, trial in enumerate(trial_set.trials):
         name = f"trial_{i:04d}.f64"
-        data = np.ascontiguousarray(trial.values, dtype="<f8")
-        (path / name).write_bytes(data.tobytes(order="C"))
+        (path / name).write_bytes(f64_bytes(trial.values))
         payloads.append(name)
     channels = trial_set.trials[0].channels if trial_set.trials else 0
-    manifest = {
+    write_json(path / "manifest.json", {
         "version": FORMAT_VERSION,
         "channels": channels,
         "sample_rate": trial_set.sample_rate if trial_set.trials else 0.0,
@@ -222,14 +215,9 @@ def save(trial_set, path):
         "samples": [t.samples for t in trial_set.trials],
         "payloads": payloads,
         "meta": trial_set.meta,
-    }
-    with open(path / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(path / "labels.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial,label\n")
-        for i, lab in enumerate(trial_set.labels):
-            fh.write(f"{i},{lab}\n")
+    })
+    write_csv(path / "labels.csv", ("trial", "label"),
+              enumerate(trial_set.labels))
     return path
 
 
@@ -239,26 +227,14 @@ def load(path):
     manifest_path = path / "manifest.json"
     if not manifest_path.is_file():
         raise ManifestError(f"no manifest.json in {path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"manifest.json is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ManifestError("manifest.json must contain a JSON object")
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise ManifestError(f"manifest.json lacks required keys: {missing}")
-    if manifest["version"] != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"unsupported dataset version {manifest['version']!r} "
-            f"(expected {FORMAT_VERSION!r})")
+    manifest = read_header(manifest_path.read_bytes(), _MANIFEST_FIELDS,
+                           FORMAT_VERSION, "manifest.json")
     labels = manifest["labels"]
     samples = manifest["samples"]
     payloads = manifest["payloads"]
     if not (len(labels) == len(samples) == len(payloads)):
         raise ManifestError(
             "labels, samples, and payloads must have equal lengths")
-    channels = int(manifest["channels"])
     sample_rate = float(manifest["sample_rate"])
     trials = []
     for name, count in zip(payloads, samples):
@@ -266,20 +242,12 @@ def load(path):
         if not payload_path.is_file():
             raise MissingPayloadError(f"payload {name} referenced by "
                                       f"manifest.json is missing")
-        raw = payload_path.read_bytes()
-        expected = channels * int(count) * 8
-        if len(raw) != expected:
-            raise ShapeMismatchError(
-                f"payload {name} holds {len(raw)} bytes, manifest implies "
-                f"{expected} ({channels} channels x {count} samples)")
-        values = np.frombuffer(raw, dtype="<f8").reshape(channels, int(count))
-        trials.append(Trial(values.copy(), sample_rate))
-    meta = manifest.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ManifestError("manifest.json meta must be a JSON object")
-    meta = dict(meta)
+        values = f64_array(payload_path.read_bytes(),
+                           (manifest["channels"], count), f"payload {name}")
+        trials.append(Trial(values, sample_rate))
+    meta = dict(manifest.get("meta", {}))
     meta.setdefault("stim_freqs", manifest["stim_freqs"])
-    return TrialSet(trials, [int(x) for x in labels], meta)
+    return TrialSet(trials, labels, meta)
 
 
 def stratified_split(trial_set, train_per_class):

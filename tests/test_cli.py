@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import struct
 
 import pytest
@@ -253,9 +254,27 @@ def _unknown_estimator_kind(header):
     header["estimator_spec"]["kind"] = "magic"
 
 
+def _negative_half_bandwidth(header):
+    header["preproc_spec"]["half_bandwidth"] = -1.0
+
+
+def _zero_sample_rate(header):
+    header["preproc_spec"]["sample_rate"] = 0.0
+
+
+def _odd_filter_order(header):
+    header["preproc_spec"]["filter_order"] = 3
+
+
+def _stim_freq_past_nyquist(header):
+    header["preproc_spec"]["stim_freqs"][0] = 200.0
+
+
 @pytest.mark.parametrize("edit", [
     _drop_mean_tolerance, _extra_estimator_key, _string_class_count,
     _fractional_class_count, _unknown_estimator_kind,
+    _negative_half_bandwidth, _zero_sample_rate, _odd_filter_order,
+    _stim_freq_past_nyquist,
 ])
 def test_corrupt_model_header_is_format_error(tmp_path, trained_once, edit,
                                               capsys):
@@ -288,3 +307,71 @@ def test_train_on_manifest_without_meta(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     assert synthgen.load(data).meta["stim_freqs"] == manifest["stim_freqs"]
     assert run("train", "--data", data, "--out", tmp_path / "m") == 0
+
+
+def test_train_odd_filter_order_is_validation_error(tmp_path, trained_once):
+    data, _ = trained_once
+    assert run("train", "--data", data, "--filter-order", 3,
+               "--out", tmp_path / "m") == 2
+
+
+def _word_sample_rate(manifest):
+    manifest["sample_rate"] = "fast"
+
+
+def _word_label(manifest):
+    manifest["labels"][0] = "one"
+
+
+def _huge_sample_rate(manifest):
+    manifest["sample_rate"] = 10 ** 400
+
+
+def _fractional_channels(manifest):
+    manifest["channels"] = 8.5
+
+
+def _numeric_payload_name(manifest):
+    manifest["payloads"][0] = 7
+
+
+def _latin1_bytes(manifest):
+    manifest["meta"]["note"] = "caf\u00e9"
+    return json.dumps(manifest, ensure_ascii=False).encode("latin-1")
+
+
+def _unknown_manifest_key(manifest):
+    manifest["comment"] = "recorded on site B"
+
+
+@pytest.mark.parametrize("edit", [
+    _word_sample_rate, _huge_sample_rate, _word_label, _fractional_channels,
+    _numeric_payload_name, _latin1_bytes, _unknown_manifest_key,
+])
+def test_corrupt_manifest_is_format_error(tmp_path, trained_once, edit,
+                                          capsys):
+    data = tmp_path / "data"
+    shutil.copytree(trained_once[0], data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    raw = edit(manifest)
+    (data / "manifest.json").write_bytes(
+        raw if raw is not None else json.dumps(manifest).encode())
+    assert run("train", "--data", data, "--out", tmp_path / "m") == 4
+    err = capsys.readouterr().err
+    assert "i/o error" in err
+    assert "Traceback" not in err
+
+
+def test_embed_cells_parse_as_floats(tmp_path, trained_once):
+    data, model = trained_once
+    assert run("embed", "--data", data, "--model", model,
+               "--out", tmp_path / "a") == 0
+    assert run("embed", "--data", data, "--potato-z", 2.5,
+               "--out", tmp_path / "b") == 0
+    for path in (tmp_path / "a" / "embed.csv",
+                 tmp_path / "b" / "embed_before.csv",
+                 tmp_path / "b" / "embed_after.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            _, _, x, y = line.split(",")
+            float(x)
+            float(y)
