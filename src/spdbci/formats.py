@@ -123,16 +123,17 @@ def read_header(raw, fields, version, where):
     return doc
 
 
-def check_fields(obj, fields, where):
+def check_fields(obj, fields, where, exact=True):
     """Raise ManifestError unless ``obj`` is a JSON object holding exactly
     the keys of ``fields`` (an OPTIONAL_OBJECT one may be absent), each
-    value of its kind; a nested field table recurses."""
+    value of its kind; a nested field table recurses. With ``exact``
+    false, keys may be absent or extra and only present ones are checked."""
     if not isinstance(obj, dict):
         raise ManifestError(f"{where} must be a JSON object")
     missing = sorted(key for key, kind in fields.items()
                      if key not in obj and kind != OPTIONAL_OBJECT)
     unexpected = sorted(set(obj) - set(fields))
-    if missing or unexpected:
+    if exact and (missing or unexpected):
         raise ManifestError(f"{where} lacks keys {missing} or has "
                             f"unexpected keys {unexpected}")
     for key, kind in fields.items():

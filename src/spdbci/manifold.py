@@ -54,6 +54,22 @@ def symmetrize(a, name="matrix"):
     return (a + a.T) / 2.0
 
 
+def _symmetrize_stack(stack, names):
+    """:func:`symmetrize` over a (K, C, C) stack in one vectorized pass;
+    the error names the first offending matrix."""
+    stack_t = stack.transpose(0, 2, 1)
+    norm = np.sqrt(np.einsum("kij,kij->k", stack, stack))
+    diff = stack - stack_t
+    asym = np.sqrt(np.einsum("kij,kij->k", diff, diff))
+    bad = asym > SYMMETRY_RTOL * np.maximum(norm, 1.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(
+            f"{names[i]} is not symmetric: relative asymmetry "
+            f"{asym[i] / max(norm[i], 1e-300):.3e}")
+    return (stack + stack_t) / 2.0
+
+
 def _eigh_spd(p, name):
     """Eigendecomposition of an SPD matrix, validating positivity."""
     p = symmetrize(p, name)
@@ -146,34 +162,67 @@ def log_map(base, point):
     return (out + out.T) / 2.0
 
 
-def distance(p1, p2):
-    """Affine-invariant geodesic distance between two SPD matrices.
+def _whitened_spectra(chol, mats, names):
+    """Clamped eigenvalues of ``L^-1 M L^-T`` for each M of a (K, C, C)
+    stack, given the lower Cholesky factor ``L``.
 
-    Equals ``[sum_i log^2(lambda_i)]^(1/2)`` over the eigenvalues
-    ``lambda_i`` of ``p1^-1 p2``. Computed by whitening with the Cholesky
-    factor of ``p1`` (eigenvalues of ``L^-1 p2 L^-T``) instead of forming
-    the product explicitly; the spectra coincide.
+    Both triangular solves run once over the K matrices laid side by side
+    (C x K*C), and one stacked ``eigvalsh`` takes every spectrum.
+    """
+    k, c, _ = mats.shape
+    tmp = solve_triangular(chol, mats.transpose(1, 0, 2).reshape(c, k * c),
+                           lower=True)
+    # [(L^-1 M_1)^T ... (L^-1 M_K)^T], side by side
+    tmp_t = tmp.reshape(c, k, c).transpose(2, 1, 0).reshape(c, k * c)
+    white = solve_triangular(chol, tmp_t, lower=True)
+    white = white.reshape(c, k, c).transpose(1, 0, 2)
+    w = np.linalg.eigvalsh((white + white.transpose(0, 2, 1)) / 2.0)
+    return np.array([_clamped_positive(row, name)
+                     for row, name in zip(w, names)])
+
+
+def distance(p1, p2):
+    """Affine-invariant geodesic distance from ``p1`` to ``p2``.
+
+    ``p2`` is one SPD matrix, giving a float, or a (K, C, C) stack of
+    them, giving an array of the K distances. Each equals
+    ``[sum_i log^2(lambda_i)]^(1/2)`` over the eigenvalues ``lambda_i`` of
+    ``p1^-1 p2``. Computed by whitening with the Cholesky factor of ``p1``
+    (eigenvalues of ``L^-1 p2 L^-T``) instead of forming the product
+    explicitly; the spectra coincide. A stack shares that one
+    factorization and is scored in one pass.
     """
     p1 = symmetrize(p1, "p1")
-    p2 = symmetrize(p2, "p2")
-    _check_same_dim(p1, p2)
+    p2 = np.asarray(p2, dtype=float)
+    if p2.ndim not in (2, 3) or p2.shape[-2:] != p1.shape or not p2.size:
+        raise ValidationError(f"dimension mismatch: {p1.shape} vs {p2.shape}")
+    single = p2.ndim == 2
+    bases = p2.reshape(-1, *p1.shape)
+    names = ["p2"] if single else [f"p2[{k}]" for k in range(len(bases))]
+    bases = _symmetrize_stack(bases, names)
     # The spectrum of p2 whitened by p1 is the inverse of p1 whitened by
     # p2, and the distance only sees squared logs, so either whitening
-    # order works; fall back to the other factorization when the first
-    # matrix is not numerically factorizable.
+    # order works; fall back to each base's factorization when p1 is not
+    # numerically factorizable.
     try:
-        chol, other, name = np.linalg.cholesky(p1), p2, "p2"
+        chol = np.linalg.cholesky(p1)
     except np.linalg.LinAlgError:
-        try:
-            chol, other, name = np.linalg.cholesky(p2), p1, "p1"
-        except np.linalg.LinAlgError as exc:
-            raise ValidationError(
-                "neither matrix is positive definite") from exc
-    tmp = solve_triangular(chol, other, lower=True)
-    white = solve_triangular(chol, tmp.T, lower=True)
-    w = np.linalg.eigvalsh((white + white.T) / 2.0)
-    w = _clamped_positive(w, name)
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+        w = np.array([_whitened_spectra(_cholesky_or_neither(base, name),
+                                        p1[None], ["p1"])[0]
+                      for base, name in zip(bases, names)])
+    else:
+        w = _whitened_spectra(chol, bases, names)
+    d = np.sqrt(np.sum(np.log(w) ** 2, axis=1))
+    return float(d[0]) if single else d
+
+
+def _cholesky_or_neither(base, name):
+    """Cholesky factor of ``base`` when ``p1`` has none."""
+    try:
+        return np.linalg.cholesky(base)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(
+            f"neither p1 nor {name} is positive definite") from exc
 
 
 def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,

@@ -242,8 +242,9 @@ def classify_covariance(cov, model):
 
 def nearest_center(cov, centers):
     """Label (1-based) of the center nearest ``cov`` in geodesic distance,
-    and the distances to all centers. Exact ties go to the lowest label."""
-    dists = np.array([manifold.distance(cov, center) for center in centers])
+    and the distances to all centers, scored in one stacked pass. Exact
+    ties go to the lowest label."""
+    dists = manifold.distance(cov, np.asarray(centers))
     return int(np.argmin(dists)) + 1, dists
 
 

@@ -151,12 +151,13 @@ class BenchRow:
     idi_mean: float
     kappa_mean: float | None
     unconverged_means: int = 0
+    unconverged_estimates: int = 0
 
 
 # Report column names, one per BenchRow field in field order.
 BENCH_COLUMNS = ("estimator", "length_s", "acc_mean", "acc_std", "itr_mean",
                  "itr_std", "cond_mean", "idi_mean", "kappa_mean",
-                 "unconverged_means")
+                 "unconverged_means", "unconverged_estimates")
 
 
 @dataclass
@@ -185,27 +186,42 @@ def _crop(trial, length_seconds):
     return Trial(trial.values[:, :count], trial.sample_rate)
 
 
+def _bench_estimate(trial, spec):
+    """``(covariance, kappa or None, stalled)`` of one trial.
+
+    A fixed-point estimate that runs out of iterations (some short crops
+    need more than the default cap) is scored at its last iterate and
+    flagged, rather than aborting the whole comparison.
+    """
+    if spec.kind == "shrinkage":
+        return (*shrinkage_with_kappa(trial, spec), False)
+    try:
+        return estimate(trial, spec), None, False
+    except ConvergenceError as exc:
+        return exc.last_iterate, None, True
+
+
 def _covariance_cache(trial_set, preproc, specs, lengths):
-    """Covariance (and kappa) of every trial per length and estimator.
+    """Covariance of every trial per length and estimator, with the mean
+    kappa (shrinkage) and the count of stalled estimates per key.
 
     Resampling reuses the same trials across replications, so each
     (length, estimator, trial) covariance is computed exactly once.
     """
     cache = {}
     kappas = {}
+    stalled = {}
     for length in lengths:
         extended = [preprocess_trial(_crop(t, length), preproc)
                     for t in trial_set.trials]
         for spec in specs:
             key = (length, estimator_label(spec))
-            if spec.kind == "shrinkage":
-                results = [shrinkage_with_kappa(t, spec) for t in extended]
-            else:
-                results = [(estimate(t, spec), None) for t in extended]
-            cache[key] = [cov for cov, _ in results]
-            kap = [kappa for _, kappa in results if kappa is not None]
+            results = [_bench_estimate(t, spec) for t in extended]
+            cache[key] = [cov for cov, _, _ in results]
+            kap = [kappa for _, kappa, _ in results if kappa is not None]
             kappas[key] = float(np.mean(kap)) if kap else None
-    return cache, kappas
+            stalled[key] = sum(flag for _, _, flag in results)
+    return cache, kappas, stalled
 
 
 def run_benchmark(trial_set, config=None, preproc=None, threads=1):
@@ -214,8 +230,10 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     Resample indices for every replication are drawn up front from the
     seed, so results do not depend on execution order. The plain SCM is
     always evaluated as the baseline for the discrimination-improvement
-    column. ``threads`` is accepted and ignored: work is single-threaded
-    apart from BLAS.
+    column. A class mean or a fixed-point estimate that stalls is scored
+    at its last iterate and counted in the ``unconverged_means`` or
+    ``unconverged_estimates`` column. ``threads`` is accepted and ignored:
+    work is single-threaded apart from BLAS.
     """
     config = config or BenchConfig()
     if preproc is None:
@@ -253,7 +271,8 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     if not any(estimator_label(s) == "scm" for s in specs):
         specs = specs + [baseline]
     lengths = list(config.trial_lengths_seconds)
-    cache, kappas = _covariance_cache(trial_set, preproc, specs, lengths)
+    cache, kappas, stalled_estimates = _covariance_cache(
+        trial_set, preproc, specs, lengths)
 
     def evaluate_split(train_idx, test_idx, covs):
         by_cls = {}
@@ -317,6 +336,7 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
                 idi_mean=float(np.mean(idis)),
                 kappa_mean=kappas[key],
                 unconverged_means=stalled_total,
+                unconverged_estimates=stalled_estimates[key],
             ))
     return BenchReport(rows=rows, replications=config.replications,
                        seed=config.seed)

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ManifestError, MissingPayloadError, ValidationError
 from .estimators import Trial
 from .formats import INT, INTS, NUMBER, NUMBERS, OPTIONAL_OBJECT, STRING, \
-    STRINGS, f64_array, f64_bytes, read_header, write_csv, write_json
+    STRINGS, check_fields, f64_array, f64_bytes, read_header, write_csv, \
+    write_json
 
 FORMAT_VERSION = "EEGSET v1"
 
@@ -34,6 +35,12 @@ _MANIFEST_FIELDS = {
     "samples": INTS,
     "payloads": STRINGS,
     "meta": OPTIONAL_OBJECT,
+}
+
+# The keys of the free-form ``meta`` object that the library reads.
+_META_FIELDS = {
+    "classes": INT,
+    "stim_freqs": NUMBERS,
 }
 
 
@@ -229,6 +236,8 @@ def load(path):
         raise ManifestError(f"no manifest.json in {path}")
     manifest = read_header(manifest_path.read_bytes(), _MANIFEST_FIELDS,
                            FORMAT_VERSION, "manifest.json")
+    meta = dict(manifest.get("meta", {}))
+    check_fields(meta, _META_FIELDS, "manifest.json.meta", exact=False)
     labels = manifest["labels"]
     samples = manifest["samples"]
     payloads = manifest["payloads"]
@@ -238,6 +247,9 @@ def load(path):
     sample_rate = float(manifest["sample_rate"])
     trials = []
     for name, count in zip(payloads, samples):
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ManifestError(f"payload name {name!r} is not a plain file "
+                                f"name inside the dataset directory")
         payload_path = path / name
         if not payload_path.is_file():
             raise MissingPayloadError(f"payload {name} referenced by "
@@ -245,7 +257,6 @@ def load(path):
         values = f64_array(payload_path.read_bytes(),
                            (manifest["channels"], count), f"payload {name}")
         trials.append(Trial(values, sample_rate))
-    meta = dict(manifest.get("meta", {}))
     meta.setdefault("stim_freqs", manifest["stim_freqs"])
     return TrialSet(trials, labels, meta)
 

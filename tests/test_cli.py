@@ -2,6 +2,7 @@ import hashlib
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -344,14 +345,35 @@ def _unknown_manifest_key(manifest):
     manifest["comment"] = "recorded on site B"
 
 
+def _word_meta_classes(manifest):
+    manifest["meta"]["classes"] = "four"
+
+
+def _word_meta_stim_freq(manifest):
+    manifest["meta"]["stim_freqs"] = ["a", 17, 21]
+
+
+def _absolute_payload_name(manifest):
+    # an existing payload of the right size, named by absolute path
+    manifest["payloads"][0] = str(Path(manifest["payloads"][1]).resolve())
+
+
+def _parent_dir_payload_name(manifest):
+    manifest["payloads"][0] = "../data/" + manifest["payloads"][1]
+
+
 @pytest.mark.parametrize("edit", [
     _word_sample_rate, _huge_sample_rate, _word_label, _fractional_channels,
     _numeric_payload_name, _latin1_bytes, _unknown_manifest_key,
+    _word_meta_classes, _word_meta_stim_freq, _absolute_payload_name,
+    _parent_dir_payload_name,
 ])
 def test_corrupt_manifest_is_format_error(tmp_path, trained_once, edit,
-                                          capsys):
+                                          capsys, monkeypatch):
     data = tmp_path / "data"
     shutil.copytree(trained_once[0], data)
+    # edits run inside the copied dataset, so one can name its files
+    monkeypatch.chdir(data)
     manifest = json.loads((data / "manifest.json").read_text())
     raw = edit(manifest)
     (data / "manifest.json").write_bytes(

@@ -208,15 +208,65 @@ def test_distance_inversion_invariance():
 
 
 def test_distance_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        manifold.distance(np.eye(3), np.eye(4))
+    for p2 in (np.eye(4), np.ones((3, 2, 3)), np.array([np.eye(4)] * 2),
+               np.zeros((0, 3, 3)), np.zeros((1, 1, 3, 3))):
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            manifold.distance(np.eye(3), p2)
 
 
 def test_distance_rejects_indefinite():
-    with pytest.raises(ValidationError):
-        manifold.distance(np.diag([1.0, -1.0]), np.eye(2))
-    with pytest.raises(ValidationError):
-        manifold.distance(np.eye(2), np.diag([1.0, -1.0]))
+    indefinite = np.diag([1.0, -1.0])
+    stack = np.array([np.eye(2), indefinite])
+    for p1, p2 in ((indefinite, np.eye(2)), (np.eye(2), indefinite),
+                   (np.eye(2), stack), (indefinite, stack)):
+        with pytest.raises(ValidationError):
+            manifold.distance(p1, p2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 8, 24])
+def test_distance_stack_matches_pairs_bitwise(k, dim):
+    # 1 x 1 matrices are left out: there a one-column triangular solve
+    # divides while a wider one multiplies by the reciprocal, so a stack
+    # may differ from the pair by one ulp.
+    rng = np.random.default_rng(100 * k + dim)
+    for spread in (0.5, 7.0):  # at 24 x 24, condition numbers near 1e12
+        p = random_spd(rng, dim, spread)
+        stack = np.array([random_spd(rng, dim, spread) for _ in range(k)])
+        dists = manifold.distance(p, stack)
+        assert isinstance(dists, np.ndarray) and dists.shape == (k,)
+        pairs = [manifold.distance(p, m) for m in stack]
+        assert all(isinstance(d, float) for d in pairs)
+        assert np.array_equal(dists, pairs)
+
+
+def test_distance_falls_back_to_base_factors_for_singular_p1():
+    rng = np.random.default_rng(17)
+    singular = np.diag([1.0, 0.0, 2.0, 3.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular)
+    stack = np.array([random_spd(rng, 4) for _ in range(3)])
+    dists = manifold.distance(singular, stack)
+    # each base's factor whitens p1: the pair computed the other way round
+    assert np.array_equal(dists, [manifold.distance(m, singular)
+                                  for m in stack])
+    assert np.all(np.isfinite(dists)) and np.all(dists > 10.0)
+
+
+def test_distance_neither_factorizable():
+    singular = np.diag([1.0, 0.0])
+    with pytest.raises(ValidationError, match=r"neither p1 nor p2\[1\]"):
+        manifold.distance(singular, np.array([np.eye(2), singular]))
+
+
+def test_distance_rejects_asymmetric_stack_member():
+    rng = np.random.default_rng(18)
+    stack = np.array([random_spd(rng, 3) for _ in range(4)])
+    stack[2, 0, 1] += 1e-3
+    with pytest.raises(ValidationError, match=r"p2\[2\] is not symmetric"):
+        manifold.distance(np.eye(3), stack)
+    stack[2] = (stack[2] + stack[2].T) / 2.0
+    assert manifold.distance(np.eye(3), stack).shape == (4,)
 
 
 # ---------------------------------------------------------------------------

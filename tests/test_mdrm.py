@@ -95,11 +95,17 @@ def test_exact_center_distance_zero():
 def test_tie_break_prefers_lowest_class():
     rng = np.random.default_rng(2)
     center = random_spd(rng, 4)
-    model = ClassModel((center, center.copy()), EstimatorSpec(),
-                       PreprocSpec((13.0,), 256.0))
-    label, dists = mdrm.classify_covariance(center, model)
-    assert label == 1
-    assert dists[0] == dists[1]
+    for k, tied in ((2, (0, 1)), (4, (1, 3)), (4, (0, 3))):
+        centers = [random_spd(rng, 4, spread=2.0) + 10.0 * np.eye(4)
+                   for _ in range(k)]
+        for i in tied:
+            centers[i] = center.copy()
+        model = ClassModel(tuple(centers), EstimatorSpec(),
+                           PreprocSpec((13.0,), 256.0))
+        label, dists = mdrm.classify_covariance(center, model)
+        assert label == tied[0] + 1
+        assert dists[tied[0]] == dists[tied[1]]
+        assert np.array_equal(mdrm.nearest_center(center, centers)[1], dists)
 
 
 def test_train_then_classify_training_set_single_trial():

@@ -275,5 +275,22 @@ def test_benchmark_csv_columns(bench_inputs, tmp_path):
     lines = (tmp_path / "bench.csv").read_text().splitlines()
     assert lines[0] == ("estimator,length_s,acc_mean,acc_std,itr_mean,"
                         "itr_std,cond_mean,idi_mean,kappa_mean,"
-                        "unconverged_means")
+                        "unconverged_means,unconverged_estimates")
     assert len(lines) == 1 + len(report.rows)
+
+
+def test_benchmark_scores_stalled_fixed_point_estimate():
+    # One 0.5 s crop of this set needs more fixed-point iterations than
+    # the default cap of 200.
+    ts = synthgen.generate(synthgen.GenConfig(trials_per_class=8, seed=13))
+    config = metrics.BenchConfig(
+        replications=2, trial_lengths_seconds=(0.5,),
+        estimators=(EstimatorSpec(kind="fixed_point"),), seed=13)
+    assert config.estimators[0].fp_max_iterations == 200
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = metrics.run_benchmark(ts, config)
+    (row,) = report.rows
+    assert row.estimator == "fixed_point"
+    assert row.unconverged_estimates == 1
+    assert 0.0 <= row.acc_mean <= 100.0 and np.isfinite(row.idi_mean)
