@@ -37,7 +37,7 @@ from .manifold import (
 )
 from .mdrm import ClassModel, PreprocSpec, classify, load_model, potato_filter, save_model, train
 from .metrics import BenchConfig, accuracy, idi, itr, run_benchmark, tangent_embed
-from .online import Decision, OnlineConfig, OnlineState, evaluate_stream
+from .online import Decision, OnlineConfig, OnlineState, evaluate_stream, regate
 from .preprocessing import EpochPlan, FilterSpec, design_bandpass, epoch_stream, extend_trial, trim_latency
 from .synthgen import GenConfig, TrialSet, generate, load, save
 
@@ -52,6 +52,7 @@ __all__ = [
     "design_bandpass", "distance", "epoch_stream", "evaluate_stream",
     "exp_map", "extend_trial", "generate", "idi", "itr", "karcher_mean",
     "load", "load_model", "log_map", "matrix_exp", "matrix_invsqrt",
-    "matrix_log", "matrix_sqrt", "potato_filter", "run_benchmark", "save",
-    "save_model", "spec_from_name", "tangent_embed", "train", "trim_latency",
+    "matrix_log", "matrix_sqrt", "potato_filter", "regate", "run_benchmark",
+    "save", "save_model", "spec_from_name", "tangent_embed", "train",
+    "trim_latency",
 ]

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, mdrm, metrics, online, synthgen
@@ -158,12 +159,10 @@ def cmd_eval(args):
                                step_seconds=args.step,
                                depth=args.depth, theta=args.theta,
                                curve_criterion=False)
-    curve_config = OnlineConfig(window_seconds=args.window,
-                                step_seconds=args.step,
-                                depth=args.depth, theta=args.theta,
-                                curve_criterion=True)
+    # one replay scores the stream; the curve gate reuses its epochs
     plain = online.evaluate_stream(trial_set, model, base_config)
-    curved = online.evaluate_stream(trial_set, model, curve_config)
+    curved = online.regate(plain, trial_set,
+                           replace(base_config, curve_criterion=True))
 
     truth = list(trial_set.labels)
     offline_acc = metrics.accuracy(offline, truth)

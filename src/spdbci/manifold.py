@@ -11,6 +11,8 @@ decomposition: for a symmetric ``A = U diag(a) U^T``,
 ``f(A) = U diag(f(a)) U^T``.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -37,8 +39,16 @@ def _as_square(a, name):
     return a
 
 
+def _check_finite_norm(norm, a, name):
+    """Reject a matrix with a NaN or infinite entry, given its Frobenius
+    norm: such a norm is never finite, so only then are entries scanned."""
+    if not math.isfinite(norm) and not np.isfinite(a).all():
+        raise ValidationError(f"{name} has non-finite entries")
+
+
 def symmetrize(a, name="matrix"):
-    """Return (A + A^T)/2 after checking A is symmetric within tolerance.
+    """Return (A + A^T)/2 after checking A is finite and symmetric within
+    tolerance.
 
     Asymmetry is measured as ||A - A^T||_F relative to ||A||_F. Below the
     tolerance it is considered floating-point noise and silently repaired;
@@ -46,6 +56,7 @@ def symmetrize(a, name="matrix"):
     """
     a = _as_square(a, name)
     norm = np.linalg.norm(a)
+    _check_finite_norm(norm, a, name)
     asym = np.linalg.norm(a - a.T)
     if asym > SYMMETRY_RTOL * max(norm, 1.0):
         raise ValidationError(
@@ -59,6 +70,9 @@ def _symmetrize_stack(stack, names):
     the error names the first offending matrix."""
     stack_t = stack.transpose(0, 2, 1)
     norm = np.sqrt(np.einsum("kij,kij->k", stack, stack))
+    if not np.isfinite(norm).all():
+        for i in np.flatnonzero(~np.isfinite(norm)):
+            _check_finite_norm(norm[i], stack[i], names[i])
     diff = stack - stack_t
     asym = np.sqrt(np.einsum("kij,kij->k", diff, diff))
     bad = asym > SYMMETRY_RTOL * np.maximum(norm, 1.0)

@@ -9,6 +9,7 @@ centers are computed.
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .preprocessing import (
     DEFAULT_FILTER_ORDER,
     DEFAULT_HALF_BANDWIDTH,
     FilterSpec,
+    design_bands,
     extend_trial,
     trim_latency,
 )
@@ -81,6 +83,14 @@ class PreprocSpec:
         for freq in self.stim_freqs:
             FilterSpec(freq, self.half_bandwidth, self.filter_order,
                        self.sample_rate)
+
+    @cached_property
+    def sos(self):
+        """Second-order sections of each stimulus frequency's band-pass,
+        designed on first use and then shared by every filter bank built
+        from this spec (each bank filters with its own copy)."""
+        return design_bands(self.stim_freqs, self.half_bandwidth,
+                            self.filter_order, self.sample_rate)
 
     @classmethod
     def for_trial_set(cls, trial_set, **overrides):
@@ -146,7 +156,7 @@ def preprocess_trial(trial, preproc, latency_override=None):
     if latency > 0:
         trial = trim_latency(trial, latency)
     return extend_trial(trial, preproc.stim_freqs, preproc.half_bandwidth,
-                        preproc.filter_order)
+                        preproc.filter_order, preproc.sos)
 
 
 def trial_covariance(trial, preproc, estimator_spec, latency_override=None):

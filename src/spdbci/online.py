@@ -14,6 +14,10 @@ epoch labels and normalized distance profiles feed two gates:
 A decision is emitted only when the gates pass; the label/distance
 history is then cleared so one sustained response cannot fire twice
 from the same epochs.
+
+Scoring an epoch (window, covariance, class distances) and gating it are
+separate steps: a scored stream can be gated again under other gate
+settings (:func:`regate`) without filtering or estimating anything twice.
 """
 
 from collections import deque
@@ -25,7 +29,7 @@ from .errors import ValidationError
 from .estimators import Trial, check_finite, estimate
 from .formats import write_csv
 from .mdrm import classify_covariance
-from .preprocessing import BandpassFilterBank, EpochPlan
+from .preprocessing import BandpassFilterBank, EpochPlan, epoch_ends
 
 DEFAULT_WINDOW_SECONDS = 3.6
 DEFAULT_STEP_SECONDS = 0.2
@@ -146,11 +150,62 @@ class _WindowBuffer:
         return self._data[:, start - self._start:end - self._start]
 
 
+class _Gate:
+    """Occurrence + curve-direction gate over the last ``d`` scored epochs.
+
+    :meth:`step` takes one scored epoch (a mapping with ``epoch``,
+    ``end_sample``, ``end_seconds``, ``label`` and ``distances``; an
+    epoch-log row will do) and returns its new epoch-log row, with the
+    gate's ``candidate``, ``rho``, ``delta`` and ``decided``, and the
+    :class:`Decision` it triggers, or None. The history holds the labels
+    and normalized distances of the epochs since the last decision.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.labels = deque(maxlen=config.depth)
+        self.deltas = deque(maxlen=config.depth)
+
+    def step(self, scored):
+        row = {**scored, "candidate": None, "rho": None, "delta": None,
+               "decided": False}
+        dists = np.array(row["distances"])
+        self.labels.append(row["label"])
+        self.deltas.append(dists / dists.sum())
+        if len(self.labels) < self.config.depth:
+            return row, None
+        rho, candidate = occurrence(self.labels, len(dists))
+        row["candidate"] = candidate
+        row["rho"] = float(rho[candidate - 1])
+        if self.config.depth >= 2:
+            value, curve_ok = curve_criterion(self.deltas, candidate)
+        else:
+            # depth 1: the difference sum is empty, so the strict
+            # negativity gate can never pass.
+            value, curve_ok = 0.0, False
+        row["delta"] = value
+        if not (rho[candidate - 1] > self.config.theta
+                and (curve_ok or not self.config.curve_criterion)):
+            return row, None
+        row["decided"] = True
+        self.labels.clear()
+        self.deltas.clear()
+        return row, Decision(
+            label=candidate,
+            epoch_index=row["epoch"],
+            elapsed_seconds=row["end_seconds"],
+            occurrence=row["rho"],
+            curve_sum=value,
+            end_sample=row["end_sample"],
+        )
+
+
 class OnlineState:
     """Single-stream state machine: push samples in, collect decisions out.
 
     One instance per stream, single writer. Decisions are immutable and
-    may be handed to other threads freely.
+    may be handed to other threads freely. ``epoch_log`` holds one row per
+    epoch, with the epoch's class distances as a tuple of floats.
     """
 
     def __init__(self, model, config=None):
@@ -166,26 +221,23 @@ class OnlineState:
         self.sample_rate = preproc.sample_rate
         self._bank = BandpassFilterBank(
             preproc.stim_freqs, self.channels, self.sample_rate,
-            preproc.half_bandwidth, preproc.filter_order)
+            preproc.half_bandwidth, preproc.filter_order, preproc.sos)
         plan = self.config.plan()
         self._w = plan.window_samples(self.sample_rate)
         self._step = plan.step_samples(self.sample_rate)
         self._buffer = _WindowBuffer(model.dim, self._w)
-        self._labels = deque(maxlen=self.config.depth)
-        self._deltas = deque(maxlen=self.config.depth)
+        self._gate = _Gate(self.config)
         self.epoch_index = 0
         self.samples_seen = 0
         self.epoch_log = []
 
-    def _next_boundary(self):
-        return self._w + self.epoch_index * self._step
-
     def push_samples(self, frame):
         """Ingest a (channels x m) chunk; returns decisions it triggered.
 
-        Epochs are cut strictly by absolute sample index, so the decision
-        sequence does not depend on how the stream is chopped into
-        frames.
+        Epochs are cut strictly by absolute sample index, at the
+        boundaries of :func:`~spdbci.preprocessing.epoch_ends`, so the
+        decision sequence does not depend on how the stream is chopped
+        into frames.
         """
         frame = np.asarray(frame, dtype=float)
         if frame.ndim == 1:
@@ -195,57 +247,28 @@ class OnlineState:
                 f"frame has {frame.shape[0]} channels, stream expects "
                 f"{self.channels}")
         check_finite(frame, "frame")
+        # keep from the first sample of the next epoch to close
         self._buffer.append(self._bank.process(frame),
-                            self._next_boundary() - self._w)
+                            self.epoch_index * self._step)
         self.samples_seen += frame.shape[1]
         decisions = []
-        while self._next_boundary() <= self.samples_seen:
-            end = self._next_boundary()
-            decision = self._consume_epoch(end)
+        ends = epoch_ends(self.samples_seen, self._w, self._step)
+        for end in ends[self.epoch_index:]:
+            row, decision = self._gate.step(self._score_epoch(end))
+            self.epoch_log.append(row)
             if decision is not None:
                 decisions.append(decision)
         return decisions
 
-    def _consume_epoch(self, end):
+    def _score_epoch(self, end):
         window = self._buffer.window(end - self._w, end)
         cov = estimate(Trial(window, self.sample_rate),
                        self.model.estimator_spec)
         label, dists = classify_covariance(cov, self.model)
-        self._labels.append(label)
-        self._deltas.append(dists / dists.sum())
         self.epoch_index += 1
-
-        row = {"epoch": self.epoch_index, "end_sample": end,
-               "end_seconds": end / self.sample_rate, "label": label,
-               "candidate": None, "rho": None, "delta": None,
-               "decided": False}
-        decision = None
-        if len(self._labels) == self.config.depth:
-            rho, candidate = occurrence(self._labels, self.model.class_count)
-            row["candidate"] = candidate
-            row["rho"] = float(rho[candidate - 1])
-            if self.config.depth >= 2:
-                value, curve_ok = curve_criterion(self._deltas, candidate)
-            else:
-                # depth 1: the difference sum is empty, so the strict
-                # negativity gate can never pass.
-                value, curve_ok = 0.0, False
-            row["delta"] = value
-            if rho[candidate - 1] > self.config.theta and \
-                    (curve_ok or not self.config.curve_criterion):
-                decision = Decision(
-                    label=candidate,
-                    epoch_index=self.epoch_index,
-                    elapsed_seconds=end / self.sample_rate,
-                    occurrence=float(rho[candidate - 1]),
-                    curve_sum=value,
-                    end_sample=end,
-                )
-                row["decided"] = True
-                self._labels.clear()
-                self._deltas.clear()
-        self.epoch_log.append(row)
-        return decision
+        return {"epoch": self.epoch_index, "end_sample": end,
+                "end_seconds": end / self.sample_rate, "label": label,
+                "distances": tuple(dists.tolist())}
 
 
 @dataclass
@@ -268,7 +291,8 @@ class TrialOutcome:
 
 @dataclass
 class StreamReport:
-    """Per-trial outcomes plus the stream-level summary and epoch log."""
+    """Per-trial outcomes plus the stream-level summary and epoch log,
+    under the online configuration ``config``."""
 
     outcomes: list
     decisions: list
@@ -277,6 +301,7 @@ class StreamReport:
     mean_delay: float | None
     decided_count: int
     held_back_count: int
+    config: OnlineConfig
 
 
 def evaluate_stream(trial_set, model, config=None):
@@ -289,13 +314,42 @@ def evaluate_stream(trial_set, model, config=None):
     """
     config = config or OnlineConfig()
     state = OnlineState(model, config)
-    boundaries = [0]
-    for trial in trial_set.trials:
-        boundaries.append(boundaries[-1] + trial.samples)
     decisions = []
     for trial in trial_set.trials:
         decisions.extend(state.push_samples(trial.values))
+    return _stream_report(trial_set, config, decisions, state.epoch_log)
 
+
+def regate(report, trial_set, config):
+    """The report :func:`evaluate_stream` gives under ``config``, from the
+    epochs ``report`` already scored on ``trial_set``.
+
+    Only the gate runs again: depth, theta and the curve criterion may
+    differ from the scoring run, while the window and step fix the epochs
+    and must match it.
+    """
+    if config.plan() != report.config.plan():
+        raise ValidationError(
+            f"regating needs the scoring run's window and step "
+            f"({report.config.window_seconds} s, "
+            f"{report.config.step_seconds} s), got "
+            f"({config.window_seconds} s, {config.step_seconds} s)")
+    gate = _Gate(config)
+    decisions = []
+    epoch_log = []
+    for scored in report.epoch_log:
+        row, decision = gate.step(scored)
+        epoch_log.append(row)
+        if decision is not None:
+            decisions.append(decision)
+    return _stream_report(trial_set, config, decisions, epoch_log)
+
+
+def _stream_report(trial_set, config, decisions, epoch_log):
+    """Attribute each trial its first decision and summarize the stream."""
+    boundaries = [0]
+    for trial in trial_set.trials:
+        boundaries.append(boundaries[-1] + trial.samples)
     outcomes = [TrialOutcome(i, lab, None, None)
                 for i, lab in enumerate(trial_set.labels)]
     for decision in decisions:
@@ -317,11 +371,12 @@ def evaluate_stream(trial_set, model, config=None):
     return StreamReport(
         outcomes=outcomes,
         decisions=decisions,
-        epoch_log=state.epoch_log,
+        epoch_log=epoch_log,
         accuracy=accuracy,
         mean_delay=mean_delay,
         decided_count=len(decided),
         held_back_count=len(outcomes) - len(decided),
+        config=config,
     )
 
 

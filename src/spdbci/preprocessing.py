@@ -97,6 +97,13 @@ def design_bandpass(spec):
     return sos
 
 
+def design_bands(stim_freqs, half_bandwidth, order, sample_rate):
+    """One :func:`design_bandpass` per stimulus frequency, in order."""
+    return tuple(design_bandpass(FilterSpec(f, half_bandwidth, order,
+                                            sample_rate))
+                 for f in stim_freqs)
+
+
 class BandpassFilterBank:
     """Causal filter bank over a set of stimulus frequencies.
 
@@ -104,11 +111,15 @@ class BandpassFilterBank:
     arbitrary chunks with output identical to filtering it in one piece.
     One instance serves one stream (single writer); create a fresh
     instance per trial for offline use so state starts from zero.
+
+    ``sos`` takes sections already designed for these frequencies (one
+    array per frequency, as :func:`design_bands` returns them); the bank
+    filters with its own copies. Without it the bank designs its own.
     """
 
     def __init__(self, stim_freqs, channels, sample_rate,
                  half_bandwidth=DEFAULT_HALF_BANDWIDTH,
-                 order=DEFAULT_FILTER_ORDER):
+                 order=DEFAULT_FILTER_ORDER, sos=None):
         if len(stim_freqs) < 1:
             raise ValidationError("at least one stimulus frequency is required")
         self.stim_freqs = tuple(float(f) for f in stim_freqs)
@@ -116,11 +127,14 @@ class BandpassFilterBank:
         self.sample_rate = float(sample_rate)
         self.half_bandwidth = float(half_bandwidth)
         self.order = int(order)
-        self.sos = [
-            design_bandpass(FilterSpec(f, self.half_bandwidth, self.order,
-                                       self.sample_rate))
-            for f in self.stim_freqs
-        ]
+        if sos is None:
+            sos = design_bands(self.stim_freqs, self.half_bandwidth,
+                               self.order, self.sample_rate)
+        elif len(sos) != len(self.stim_freqs):
+            raise ValidationError(
+                f"{len(sos)} filter designs for {len(self.stim_freqs)} "
+                f"stimulus frequencies")
+        self.sos = [np.array(s, dtype=float) for s in sos]
         self.reset()
 
     def reset(self):
@@ -143,15 +157,16 @@ class BandpassFilterBank:
 
 
 def extend_trial(trial, stim_freqs, half_bandwidth=DEFAULT_HALF_BANDWIDTH,
-                 order=DEFAULT_FILTER_ORDER):
+                 order=DEFAULT_FILTER_ORDER, sos=None):
     """Stack band-pass filtered copies of a trial, one block per frequency.
 
     Block f of the output holds the trial filtered around
     ``stim_freqs[f]``; the result has F*C rows and the original sample
-    count. Filter state starts from zero (trial boundary).
+    count. Filter state starts from zero (trial boundary). ``sos`` is
+    passed to :class:`BandpassFilterBank`.
     """
     bank = BandpassFilterBank(stim_freqs, trial.channels, trial.sample_rate,
-                              half_bandwidth, order)
+                              half_bandwidth, order, sos)
     return Trial(bank.process(trial.values), trial.sample_rate)
 
 
@@ -179,8 +194,13 @@ def epoch_stream(recording, plan):
     """
     w_s = plan.window_samples(recording.sample_rate)
     d_s = plan.step_samples(recording.sample_rate)
-    epochs = []
-    for end in range(w_s, recording.samples + 1, d_s):
-        epochs.append(Trial(recording.values[:, end - w_s:end],
-                            recording.sample_rate))
-    return epochs
+    return [Trial(recording.values[:, end - w_s:end], recording.sample_rate)
+            for end in epoch_ends(recording.samples, w_s, d_s)]
+
+
+def epoch_ends(samples, w_s, d_s):
+    """Boundaries n = w_s, w_s + d_s, ... of the full windows of w_s
+    samples, d_s apart, within the first ``samples`` samples of a
+    recording, as a ``range``. The epoch closing at n holds samples
+    ``n - w_s`` to ``n - 1``."""
+    return range(w_s, samples + 1, d_s)

@@ -343,3 +343,50 @@ def test_condition_ratio_matches_eigenvalue_oracle():
         w = np.linalg.eigvalsh(p)
         expected = w[-1] / w[0]
         assert manifold.condition_ratio(p) == pytest.approx(expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+def _spoiled(value, dim=4):
+    """An SPD matrix with ``value`` in one off-diagonal entry."""
+    p = random_spd(np.random.default_rng(7), dim)
+    p[0, 1] = value
+    return p
+
+
+_NON_FINITE_CALLS = {
+    "distance p1": lambda bad, good: manifold.distance(bad, good),
+    "distance p2": lambda bad, good: manifold.distance(good, bad),
+    "distance stack": lambda bad, good: manifold.distance(
+        good, np.stack([good, bad, good])),
+    "karcher_mean": lambda bad, good: manifold.karcher_mean([good, bad]),
+    "log_map base": lambda bad, good: manifold.log_map(bad, good),
+    "log_map point": lambda bad, good: manifold.log_map(good, bad),
+    "matrix_log": lambda bad, good: manifold.matrix_log(bad),
+    "matrix_exp": lambda bad, good: manifold.matrix_exp(bad),
+    "condition_ratio": lambda bad, good: manifold.condition_ratio(bad),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", sorted(_NON_FINITE_CALLS))
+def test_non_finite_matrix_rejected(call, value):
+    good = random_spd(np.random.default_rng(8), 4)
+    with pytest.raises(ValidationError, match="non-finite"):
+        _NON_FINITE_CALLS[call](_spoiled(value), good)
+
+
+def test_non_finite_error_names_stack_member():
+    good = random_spd(np.random.default_rng(8), 4)
+    with pytest.raises(ValidationError, match=r"p2\[1\] has non-finite"):
+        manifold.distance(good, np.stack([good, _spoiled(np.nan), good]))
+
+
+def test_huge_finite_entries_are_not_called_non_finite():
+    # the Frobenius norms overflow, but every entry is finite
+    big = np.diag([1e200, 1e200])
+    with np.errstate(over="ignore"):
+        d = manifold.distance(big, np.stack([big, 2.0 * big]))
+    assert_allclose(d, [0.0, np.sqrt(2.0) * np.log(2.0)], rtol=1e-12)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from spdbci import manifold, mdrm, synthgen
+from spdbci import manifold, mdrm, preprocessing, synthgen
 from spdbci.errors import ValidationError
 from spdbci.estimators import EstimatorSpec, Trial
 from spdbci.mdrm import ClassModel, PreprocSpec
+from spdbci.preprocessing import BandpassFilterBank, FilterSpec, \
+    design_bandpass, extend_trial
 
 from conftest import random_spd
 
@@ -18,6 +20,60 @@ def small_set(seed=0, trials_per_class=2, snr_db=30.0, **kw):
 def preproc_for(cfg, latency=0.0):
     return PreprocSpec(stim_freqs=cfg.stim_freqs, sample_rate=cfg.sample_rate,
                        latency_seconds=latency)
+
+
+# ---------------------------------------------------------------------------
+# filter designs shared through the preprocessing spec
+# ---------------------------------------------------------------------------
+
+def test_preproc_spec_sections_equal_fresh_designs():
+    pre = PreprocSpec((13.0, 17.0, 21.0), 256.0, half_bandwidth=1.5,
+                      filter_order=6)
+    assert pre.sos is pre.sos
+    assert len(pre.sos) == 3
+    for freq, sos in zip(pre.stim_freqs, pre.sos):
+        fresh = design_bandpass(FilterSpec(freq, 1.5, 6, 256.0))
+        assert sos.dtype == fresh.dtype and sos.shape == fresh.shape
+        assert sos.tobytes() == fresh.tobytes()
+
+
+def test_banks_from_one_spec_keep_independent_state():
+    pre = PreprocSpec((13.0, 17.0, 21.0), 256.0)
+    rng = np.random.default_rng(5)
+    trials = [rng.standard_normal((4, 700)) for _ in range(2)]
+    banks = [BandpassFilterBank(pre.stim_freqs, 4, 256.0, pre.half_bandwidth,
+                                pre.filter_order, pre.sos) for _ in trials]
+    for bank in banks:
+        assert all(own is not shared and np.array_equal(own, shared)
+                   for own, shared in zip(bank.sos, pre.sos))
+    outs = [[], []]
+    for start in range(0, 700, 90):
+        for out, bank, values in zip(outs, banks, trials):
+            out.append(bank.process(values[:, start:start + 90]))
+    for out, values in zip(outs, trials):
+        alone = extend_trial(Trial(values, 256.0), pre.stim_freqs)
+        assert np.array_equal(np.hstack(out), alone.values)
+
+
+def test_bank_rejects_designs_for_other_frequencies():
+    pre = PreprocSpec((13.0, 17.0), 256.0)
+    with pytest.raises(ValidationError, match="2 filter designs for 3"):
+        BandpassFilterBank((13.0, 17.0, 21.0), 4, 256.0, sos=pre.sos)
+
+
+def test_train_designs_each_band_once(monkeypatch):
+    ts, cfg = small_set()
+    designed = []
+    original = preprocessing.design_bandpass
+
+    def counting(spec):
+        designed.append(spec.center_freq)
+        return original(spec)
+
+    monkeypatch.setattr(preprocessing, "design_bandpass", counting)
+    mdrm.train(ts, EstimatorSpec(), preproc_for(cfg))
+    assert len(ts.trials) > 1
+    assert designed == list(cfg.stim_freqs)
 
 
 # ---------------------------------------------------------------------------

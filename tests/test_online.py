@@ -1,11 +1,15 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spdbci import mdrm, online, synthgen
 from spdbci.errors import ValidationError
-from spdbci.estimators import EstimatorSpec
+from spdbci.estimators import EstimatorSpec, Trial
 from spdbci.mdrm import PreprocSpec
 from spdbci.online import OnlineConfig, OnlineState
+from spdbci.preprocessing import epoch_stream
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +145,7 @@ def test_normalized_distances_sum_to_one(trained):
     model, test = trained
     state = OnlineState(model, OnlineConfig())
     state.push_samples(test.trials[0].values)
-    for vec in state._deltas:
+    for vec in state._gate.deltas:
         assert abs(vec.sum() - 1.0) < 1e-9
         assert np.all(vec > 0) and np.all(vec < 1)
 
@@ -304,3 +308,70 @@ def test_non_finite_frame_rejected_without_touching_state(trained):
     fresh = OnlineState(model, OnlineConfig())
     assert state.push_samples(stream) == fresh.push_samples(stream)
     assert state.epoch_log == fresh.epoch_log
+
+
+@pytest.mark.parametrize("frame", [1, 51, 1000])
+def test_epochs_match_epoch_stream(trained, frame):
+    # the online state and the offline epoching cut the same windows
+    model, test = trained
+    values = np.hstack([t.values for t in test.trials[:2]])
+    config = OnlineConfig()
+    state = OnlineState(model, config)
+    for start in range(0, values.shape[1], frame):
+        state.push_samples(values[:, start:start + frame])
+    epochs = epoch_stream(Trial(values, test.sample_rate), config.plan())
+    w = config.plan().window_samples(test.sample_rate)
+    ends = [row["end_sample"] for row in state.epoch_log]
+    assert len(ends) == len(epochs) == state.epoch_index > 0
+    for end, epoch in zip(ends, epochs):
+        assert np.array_equal(epoch.values, values[:, end - w:end])
+
+
+def test_epoch_log_keeps_distances(trained):
+    model, test = trained
+    state = OnlineState(model, OnlineConfig())
+    state.push_samples(test.trials[0].values)
+    for row in state.epoch_log:
+        dists = row["distances"]
+        assert isinstance(dists, tuple) and len(dists) == model.class_count
+        assert all(type(d) is float for d in dists)
+        assert row["label"] == int(np.argmin(dists)) + 1
+
+
+# ---------------------------------------------------------------------------
+# gating a scored stream again
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def carryover_scored(carryover_set):
+    pre = PreprocSpec(stim_freqs=tuple(carryover_set.meta["stim_freqs"]),
+                      sample_rate=carryover_set.sample_rate)
+    train, test = synthgen.stratified_split(carryover_set, 8)
+    model, _ = mdrm.train(train, EstimatorSpec(), pre, mean_tolerance=1e-4)
+    scored = online.evaluate_stream(test, model,
+                                    OnlineConfig(curve_criterion=False))
+    return model, test, scored
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.7])
+@pytest.mark.parametrize("depth", [2, 5, 8])
+@pytest.mark.parametrize("curve", [False, True])
+def test_regate_equals_fresh_replay(carryover_scored, curve, depth, theta):
+    model, test, scored = carryover_scored
+    before = copy.deepcopy(scored)
+    config = OnlineConfig(depth=depth, theta=theta, curve_criterion=curve)
+    again = online.regate(scored, test, config)
+    fresh = online.evaluate_stream(test, model, config)
+    for field in dataclasses.fields(online.StreamReport):
+        assert getattr(again, field.name) == getattr(fresh, field.name), \
+            field.name
+    assert fresh.decisions
+    assert scored == before
+
+
+@pytest.mark.parametrize("change", [{"window_seconds": 3.0},
+                                    {"step_seconds": 0.25}])
+def test_regate_rejects_other_window_or_step(carryover_scored, change):
+    _, test, scored = carryover_scored
+    with pytest.raises(ValidationError, match="window and step"):
+        online.regate(scored, test, OnlineConfig(**change))
