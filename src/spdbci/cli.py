@@ -17,11 +17,13 @@ from pathlib import Path
 
 from . import __version__, mdrm, metrics, online, synthgen
 from .errors import DataFormatError, NumericalError, ValidationError
-from .estimators import RankDeficientCovarianceWarning, spec_from_name
+from .estimators import EstimatorSpec, RankDeficientCovarianceWarning, \
+    spec_from_name
 from .formats import csv_cell, write_csv, write_json
 from .mdrm import PreprocSpec
-from .metrics import BenchConfig
+from .metrics import BenchConfig, estimator_label
 from .online import OnlineConfig
+from .synthgen import GenConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -49,7 +51,6 @@ def _prepare_out(path, force):
 
 
 def _write_run_manifest(out, command, config, seed, artifacts):
-    # Thread count is deliberately not recorded: it never changes outputs.
     write_json(out / "run_manifest.json", {
         "command": command,
         "config": config,
@@ -64,23 +65,33 @@ def _add_common(parser):
     parser.add_argument("--force", action="store_true",
                         help="reuse a non-empty output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: work is single-threaded "
-                             "apart from BLAS")
+
+
+def _add_filter_flags(parser):
+    parser.add_argument("--latency", type=float,
+                        default=PreprocSpec.latency_seconds,
+                        help="seconds to drop from each trial head")
+    parser.add_argument("--half-bandwidth", type=float,
+                        default=PreprocSpec.half_bandwidth)
+    parser.add_argument("--filter-order", type=int,
+                        default=PreprocSpec.filter_order)
 
 
 def _add_preproc_flags(parser):
-    parser.add_argument("--estimator", default="schafer",
+    parser.add_argument("--estimator", default=estimator_label(EstimatorSpec()),
                         help="scm, nscm, ledoit, blankertz, schafer, fixed-point")
-    parser.add_argument("--kappa", type=float, default=None,
+    parser.add_argument("--kappa", type=float,
                         help="fixed shrinkage weight; omit for the analytic value")
-    parser.add_argument("--blankertz-scale", default="matrix_space",
+    parser.add_argument("--blankertz-scale",
+                        default=EstimatorSpec.blankertz_scale,
                         choices=("matrix_space", "channels"),
                         help="denominator of the blankertz target trace")
-    parser.add_argument("--latency", type=float, default=0.0,
-                        help="seconds to drop from each trial head")
-    parser.add_argument("--half-bandwidth", type=float, default=1.0)
-    parser.add_argument("--filter-order", type=int, default=8)
+    _add_filter_flags(parser)
+
+
+def _estimator(args):
+    return spec_from_name(args.estimator, kappa=args.kappa,
+                          blankertz_scale=args.blankertz_scale)
 
 
 def _dataset_preproc(trial_set, args):
@@ -93,7 +104,7 @@ def _dataset_preproc(trial_set, args):
 
 
 def cmd_gen(args):
-    config = synthgen.GenConfig(
+    config = GenConfig(
         channels=args.channels,
         sample_rate=args.sample_rate,
         stim_freqs=tuple(args.stim_freqs),
@@ -117,8 +128,7 @@ def cmd_gen(args):
 def cmd_train(args):
     trial_set = synthgen.load(args.data)
     out = _prepare_out(args.out, args.force)
-    estimator = spec_from_name(args.estimator, kappa=args.kappa,
-                               blankertz_scale=args.blankertz_scale)
+    estimator = _estimator(args)
     preproc = _dataset_preproc(trial_set, args)
     mean_kwargs = {}
     if args.mean_tol is not None:
@@ -155,14 +165,12 @@ def cmd_eval(args):
     offline = [mdrm.classify(t, model)[0] for t in trial_set.trials]
     offline_opt = [mdrm.classify(t, model, latency_override=args.latency)[0]
                    for t in trial_set.trials]
-    base_config = OnlineConfig(window_seconds=args.window,
-                               step_seconds=args.step,
-                               depth=args.depth, theta=args.theta,
-                               curve_criterion=False)
+    config = OnlineConfig(window_seconds=args.window, step_seconds=args.step,
+                          depth=args.depth, theta=args.theta)
     # one replay scores the stream; the curve gate reuses its epochs
-    plain = online.evaluate_stream(trial_set, model, base_config)
-    curved = online.regate(plain, trial_set,
-                           replace(base_config, curve_criterion=True))
+    plain = online.evaluate_stream(trial_set, model,
+                                   replace(config, curve_criterion=False))
+    curved = online.regate(plain, config)
 
     truth = list(trial_set.labels)
     offline_acc = metrics.accuracy(offline, truth)
@@ -253,8 +261,7 @@ def _dataset_covariances(trial_set, args, model=None):
         estimator = model.estimator_spec
     else:
         preproc = _dataset_preproc(trial_set, args)
-        estimator = spec_from_name(args.estimator, kappa=args.kappa,
-                                   blankertz_scale=args.blankertz_scale)
+        estimator = _estimator(args)
     covs = [mdrm.trial_covariance(t, preproc, estimator)
             for t in trial_set.trials]
     return covs, preproc, estimator
@@ -332,14 +339,19 @@ def build_parser():
 
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset")
     _add_common(p_gen)
-    p_gen.add_argument("--channels", type=int, default=8)
-    p_gen.add_argument("--sample-rate", type=float, default=256.0)
-    p_gen.add_argument("--stim-freqs", type=_float_list, default=[13.0, 17.0, 21.0])
-    p_gen.add_argument("--trial-seconds", type=float, default=6.0)
-    p_gen.add_argument("--trials-per-class", type=int, default=8)
-    p_gen.add_argument("--snr-db", type=float, default=10.0)
-    p_gen.add_argument("--harmonics", type=int, default=1)
-    p_gen.add_argument("--carryover", type=float, default=0.0,
+    p_gen.add_argument("--channels", type=int, default=GenConfig.channels)
+    p_gen.add_argument("--sample-rate", type=float,
+                       default=GenConfig.sample_rate)
+    p_gen.add_argument("--stim-freqs", type=_float_list,
+                       default=GenConfig.stim_freqs)
+    p_gen.add_argument("--trial-seconds", type=float,
+                       default=GenConfig.trial_seconds)
+    p_gen.add_argument("--trials-per-class", type=int,
+                       default=GenConfig.trials_per_class)
+    p_gen.add_argument("--snr-db", type=float, default=GenConfig.snr_db)
+    p_gen.add_argument("--harmonics", type=int, default=GenConfig.harmonics)
+    p_gen.add_argument("--carryover", type=float,
+                       default=GenConfig.transition_carryover_seconds,
                        help="seconds of previous-trial signal kept at each trial head")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -347,12 +359,12 @@ def build_parser():
     _add_common(p_train)
     _add_preproc_flags(p_train)
     p_train.add_argument("--data", required=True)
-    p_train.add_argument("--potato-z", type=float, default=None,
+    p_train.add_argument("--potato-z", type=float,
                          help="enable outlier filtering at this z threshold")
-    p_train.add_argument("--mean-tol", type=float, default=None,
+    p_train.add_argument("--mean-tol", type=float,
                          help="center solver tolerance (loosen for very "
                               "spread covariances)")
-    p_train.add_argument("--mean-max-iter", type=int, default=None)
+    p_train.add_argument("--mean-max-iter", type=int)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="offline and online evaluation")
@@ -361,10 +373,12 @@ def build_parser():
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--latency", type=float, default=2.0,
                         help="trim for the optimized offline column")
-    p_eval.add_argument("--window", type=float, default=3.6)
-    p_eval.add_argument("--step", type=float, default=0.2)
-    p_eval.add_argument("--depth", type=int, default=5)
-    p_eval.add_argument("--theta", type=float, default=0.7)
+    p_eval.add_argument("--window", type=float,
+                        default=OnlineConfig.window_seconds)
+    p_eval.add_argument("--step", type=float,
+                        default=OnlineConfig.step_seconds)
+    p_eval.add_argument("--depth", type=int, default=OnlineConfig.depth)
+    p_eval.add_argument("--theta", type=float, default=OnlineConfig.theta)
     p_eval.set_defaults(func=cmd_eval)
 
     p_bench = sub.add_parser("bench", help="bootstrap estimator comparison")
@@ -373,21 +387,20 @@ def build_parser():
     p_bench.add_argument("--estimators",
                          default="scm,nscm,ledoit,blankertz,schafer,fixed-point")
     p_bench.add_argument("--lengths", type=_float_list,
-                         default=list(metrics.DEFAULT_TRIAL_LENGTHS))
-    p_bench.add_argument("--replications", type=int, default=1000)
-    p_bench.add_argument("--kappa", type=float, default=None)
-    p_bench.add_argument("--latency", type=float, default=0.0)
-    p_bench.add_argument("--half-bandwidth", type=float, default=1.0)
-    p_bench.add_argument("--filter-order", type=int, default=8)
+                         default=BenchConfig.trial_lengths_seconds)
+    p_bench.add_argument("--replications", type=int,
+                         default=BenchConfig.replications)
+    p_bench.add_argument("--kappa", type=float)
+    _add_filter_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_embed = sub.add_parser("embed", help="tangent-space 2-D embedding")
     _add_common(p_embed)
     _add_preproc_flags(p_embed)
     p_embed.add_argument("--data", required=True)
-    p_embed.add_argument("--model", default=None,
+    p_embed.add_argument("--model",
                          help="overlay this model's class centers")
-    p_embed.add_argument("--potato-z", type=float, default=None,
+    p_embed.add_argument("--potato-z", type=float,
                          help="also emit the embedding after outlier filtering")
     p_embed.set_defaults(func=cmd_embed)
 
@@ -395,7 +408,7 @@ def build_parser():
     _add_common(p_potato)
     _add_preproc_flags(p_potato)
     p_potato.add_argument("--data", required=True)
-    p_potato.add_argument("--z", type=float, default=2.5)
+    p_potato.add_argument("--z", type=float, default=mdrm.DEFAULT_POTATO_Z)
     p_potato.set_defaults(func=cmd_potato)
 
     return parser

@@ -100,6 +100,8 @@ class EstimatorSpec:
                 f"unknown blankertz_scale {self.blankertz_scale!r}")
         if not self.fp_tolerance > 0:
             raise ValidationError("fp_tolerance must be positive")
+        if self.fp_max_iterations < 1:
+            raise ValidationError("fp_max_iterations must be at least 1")
 
     def to_dict(self):
         return asdict(self)
@@ -109,8 +111,10 @@ class EstimatorSpec:
         return cls(**d)
 
 
-def spec_from_name(name, kappa=None, blankertz_scale="matrix_space",
-                   fp_tolerance=1e-6, fp_max_iterations=200):
+def spec_from_name(name, kappa=EstimatorSpec.kappa,
+                   blankertz_scale=EstimatorSpec.blankertz_scale,
+                   fp_tolerance=EstimatorSpec.fp_tolerance,
+                   fp_max_iterations=EstimatorSpec.fp_max_iterations):
     """Build an EstimatorSpec from a short CLI-style name.
 
     Plain estimators go by kind (``scm``, ``nscm``, ``fixed-point``);
@@ -179,7 +183,8 @@ def nscm(trial):
     return (cov + cov.T) / 2.0
 
 
-def shrinkage_target(cov, target, blankertz_scale="matrix_space"):
+def shrinkage_target(cov, target,
+                     blankertz_scale=EstimatorSpec.blankertz_scale):
     """Structured target matrix for the given SCM.
 
     ``ledoit``: v*I with v the trace of the SCM. ``blankertz``: v*I with
@@ -198,20 +203,14 @@ def shrinkage_target(cov, target, blankertz_scale="matrix_space"):
     raise ValidationError(f"unknown shrinkage target {target!r}")
 
 
-def analytic_kappa(trial, target, blankertz_scale="matrix_space"):
-    """Analytic shrinkage intensity for the chosen target, clipped to [0, 1).
+def _kappa(xc, gram, target, blankertz_scale):
+    """Analytic shrinkage intensity for the chosen target, clipped to [0, 1),
+    from the centered trial ``xc`` and its Gram matrix.
 
     Ratio of the summed sampling variance of the shrunk SCM entries to
     their squared distance from the target. Entries the target leaves
     untouched (the diagonal, for the ``schafer`` target) contribute to
     neither sum.
-    """
-    xc = _centered(trial)
-    return _kappa(xc, xc @ xc.T, target, blankertz_scale)
-
-
-def _kappa(xc, gram, target, blankertz_scale):
-    """:func:`analytic_kappa` from the centered trial and its Gram matrix.
 
     The variance of the SCM entries follows the usual unbiased
     construction: with ``w_nij`` the product of centered channel samples
@@ -238,25 +237,14 @@ def _kappa(xc, gram, target, blankertz_scale):
     return float(np.clip(num / den, 0.0, np.nextafter(1.0, 0.0)))
 
 
-def shrinkage(trial, spec=None):
-    """Convex combination of the SCM with a structured target.
+def shrinkage_with_kappa(trial, spec):
+    """Convex combination of the SCM with a structured target, and the
+    weight used: ``(kappa * target + (1 - kappa) * scm, kappa)``.
 
-    Returns ``kappa * target + (1 - kappa) * scm``. With an explicit
-    ``spec.kappa`` that weight is used as-is; with ``kappa=None`` the
-    analytic intensity from :func:`analytic_kappa` is applied. Use
-    :func:`shrinkage_with_kappa` to also retrieve the weight used.
+    An explicit ``spec.kappa`` is used as-is; with ``kappa=None`` the
+    analytic intensity (:func:`_kappa`) is applied. The SCM and the
+    analytic kappa share one centered Gram matrix.
     """
-    cov, _ = shrinkage_with_kappa(trial, spec)
-    return cov
-
-
-def shrinkage_with_kappa(trial, spec=None):
-    """Like :func:`shrinkage` but also returns the kappa that was applied.
-
-    The SCM and the analytic kappa share one centered Gram matrix.
-    """
-    if spec is None:
-        spec = EstimatorSpec(kind="shrinkage")
     if spec.kind != "shrinkage":
         raise ValidationError("spec.kind must be 'shrinkage'")
     xc = _centered(trial)
@@ -284,20 +272,15 @@ def _fixed_point_step(xc, sigma):
     return (nxt + nxt.T) / 2.0
 
 
-def fixed_point(trial, tolerance=None, max_iterations=None, spec=None):
+def fixed_point(trial, spec):
     """Maximum-likelihood covariance via fixed-point iteration.
 
     Each iteration reweights every centered sample's outer product by the
     inverse of its current Mahalanobis energy. Starts from the NSCM and
-    stops when the relative Frobenius change falls below the tolerance.
+    stops when the relative Frobenius change falls below
+    ``spec.fp_tolerance``, within ``spec.fp_max_iterations`` iterations.
     Requires strictly more samples than channels.
     """
-    if spec is None:
-        spec = EstimatorSpec(kind="fixed_point")
-    tol = spec.fp_tolerance if tolerance is None else tolerance
-    max_iter = spec.fp_max_iterations if max_iterations is None else max_iterations
-    if not tol > 0:
-        raise ValidationError("tolerance must be positive")
     if trial.samples <= trial.channels:
         raise ValidationError(
             f"fixed-point estimation needs more samples than channels "
@@ -305,15 +288,15 @@ def fixed_point(trial, tolerance=None, max_iterations=None, spec=None):
     xc = _centered(trial)
     sigma = nscm(trial)
     change = np.inf
-    for _ in range(max_iter):
+    for _ in range(spec.fp_max_iterations):
         nxt = _fixed_point_step(xc, sigma)
         change = np.linalg.norm(nxt - sigma) / np.linalg.norm(sigma)
         sigma = nxt
-        if change < tol:
+        if change < spec.fp_tolerance:
             return sigma
     raise ConvergenceError(
-        f"fixed-point estimator did not converge in {max_iter} iterations "
-        f"(relative change {change:.3e})",
+        f"fixed-point estimator did not converge in "
+        f"{spec.fp_max_iterations} iterations (relative change {change:.3e})",
         last_iterate=sigma,
         residual=float(change),
     )
@@ -326,7 +309,7 @@ def estimate(trial, spec):
     if spec.kind == "nscm":
         return nscm(trial)
     if spec.kind == "shrinkage":
-        return shrinkage(trial, spec)
+        return shrinkage_with_kappa(trial, spec)[0]
     if spec.kind == "fixed_point":
-        return fixed_point(trial, spec=spec)
+        return fixed_point(trial, spec)
     raise ValidationError(f"unknown estimator kind {spec.kind!r}")

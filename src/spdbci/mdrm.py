@@ -22,6 +22,7 @@ from .formats import INT, NUMBER, NUMBER_OR_NULL, NUMBERS, STRING, \
 from .preprocessing import (
     DEFAULT_FILTER_ORDER,
     DEFAULT_HALF_BANDWIDTH,
+    DEFAULT_STIM_FREQS,
     FilterSpec,
     design_bands,
     extend_trial,
@@ -51,8 +52,6 @@ _HEADER_FIELDS = {
 }
 
 DEFAULT_POTATO_Z = 2.5
-
-DEFAULT_STIM_FREQS = (13.0, 17.0, 21.0)
 
 # A mean pooled across classes sits between well-separated clusters, where
 # the mean iteration converges slowly; such references only anchor
@@ -91,6 +90,13 @@ class PreprocSpec:
         from this spec (each bank filters with its own copy)."""
         return design_bands(self.stim_freqs, self.half_bandwidth,
                             self.filter_order, self.sample_rate)
+
+    def check_sample_rate(self, sample_rate):
+        """Reject data recorded at another rate than this preprocessing's."""
+        if abs(sample_rate - self.sample_rate) > 1e-9:
+            raise ValidationError(
+                f"trial sample rate {sample_rate} does not match the "
+                f"model's {self.sample_rate}")
 
     @classmethod
     def for_trial_set(cls, trial_set, **overrides):
@@ -147,10 +153,7 @@ class PotatoResult:
 
 def preprocess_trial(trial, preproc, latency_override=None):
     """Trim cue latency and build the frequency-stacked extended trial."""
-    if abs(trial.sample_rate - preproc.sample_rate) > 1e-9:
-        raise ValidationError(
-            f"trial sample rate {trial.sample_rate} does not match the "
-            f"model's {preproc.sample_rate}")
+    preproc.check_sample_rate(trial.sample_rate)
     latency = preproc.latency_seconds if latency_override is None \
         else latency_override
     if latency > 0:
@@ -167,8 +170,7 @@ def trial_covariance(trial, preproc, estimator_spec, latency_override=None):
 
 def train(trial_set, estimator_spec=None, preproc_spec=None,
           potato_z=None, mean_tolerance=manifold.DEFAULT_MEAN_TOLERANCE,
-          mean_max_iterations=manifold.DEFAULT_MEAN_MAX_ITERATIONS,
-          threads=1):
+          mean_max_iterations=manifold.DEFAULT_MEAN_MAX_ITERATIONS):
     """Estimate per-class geometric-mean centers from labelled trials.
 
     Per trial: trim latency, band-pass stack, estimate covariance. Per
@@ -179,9 +181,6 @@ def train(trial_set, estimator_spec=None, preproc_spec=None,
     Returns ``(model, report)`` where the report records the kappa values
     used (shrinkage) and, when the potato filter ran, per-class rejection
     counts so the caller can veto overzealous filtering.
-
-    ``threads`` is accepted and ignored: work is single-threaded apart
-    from BLAS.
     """
     if estimator_spec is None:
         estimator_spec = EstimatorSpec()

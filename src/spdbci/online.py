@@ -21,7 +21,7 @@ settings (:func:`regate`) without filtering or estimating anything twice.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,21 +31,16 @@ from .formats import write_csv
 from .mdrm import classify_covariance
 from .preprocessing import BandpassFilterBank, EpochPlan, epoch_ends
 
-DEFAULT_WINDOW_SECONDS = 3.6
-DEFAULT_STEP_SECONDS = 0.2
-DEFAULT_DEPTH = 5
-DEFAULT_THETA = 0.7
-
 
 @dataclass(frozen=True)
 class OnlineConfig:
     """Streaming hyperparameters: window w, stride dN, history depth d,
     occurrence threshold theta, and whether the curve gate is active."""
 
-    window_seconds: float = DEFAULT_WINDOW_SECONDS
-    step_seconds: float = DEFAULT_STEP_SECONDS
-    depth: int = DEFAULT_DEPTH
-    theta: float = DEFAULT_THETA
+    window_seconds: float = 3.6
+    step_seconds: float = 0.2
+    depth: int = 5
+    theta: float = 0.7
     curve_criterion: bool = True
 
     def __post_init__(self):
@@ -69,13 +64,6 @@ class Decision:
     occurrence: float
     curve_sum: float
     end_sample: int
-
-
-def min_buffered_samples(config, sample_rate):
-    """Samples needed before any decision is possible: w_s + (d-1)*step_s."""
-    plan = config.plan()
-    return plan.window_samples(sample_rate) + \
-        (config.depth - 1) * plan.step_samples(sample_rate)
 
 
 def occurrence(labels, class_count):
@@ -291,8 +279,8 @@ class TrialOutcome:
 
 @dataclass
 class StreamReport:
-    """Per-trial outcomes plus the stream-level summary and epoch log,
-    under the online configuration ``config``."""
+    """Per-trial outcomes plus the stream-level summary and epoch log of
+    ``trial_set`` replayed under the online configuration ``config``."""
 
     outcomes: list
     decisions: list
@@ -302,6 +290,8 @@ class StreamReport:
     decided_count: int
     held_back_count: int
     config: OnlineConfig
+    # the scored trials; a report compares by its results, not its input
+    trial_set: object = field(compare=False, repr=False)
 
 
 def evaluate_stream(trial_set, model, config=None):
@@ -310,19 +300,20 @@ def evaluate_stream(trial_set, model, config=None):
     Each trial's outcome is the first decision whose closing sample falls
     inside that trial, with delay measured from trial onset; trials where
     the gates never fire are held back. Accuracy is reported over decided
-    trials only.
+    trials only. Every trial must be at the model's sample rate.
     """
     config = config or OnlineConfig()
     state = OnlineState(model, config)
     decisions = []
     for trial in trial_set.trials:
+        model.preproc_spec.check_sample_rate(trial.sample_rate)
         decisions.extend(state.push_samples(trial.values))
     return _stream_report(trial_set, config, decisions, state.epoch_log)
 
 
-def regate(report, trial_set, config):
+def regate(report, config):
     """The report :func:`evaluate_stream` gives under ``config``, from the
-    epochs ``report`` already scored on ``trial_set``.
+    epochs ``report`` already scored on its trial set.
 
     Only the gate runs again: depth, theta and the curve criterion may
     differ from the scoring run, while the window and step fix the epochs
@@ -342,7 +333,7 @@ def regate(report, trial_set, config):
         epoch_log.append(row)
         if decision is not None:
             decisions.append(decision)
-    return _stream_report(trial_set, config, decisions, epoch_log)
+    return _stream_report(report.trial_set, config, decisions, epoch_log)
 
 
 def _stream_report(trial_set, config, decisions, epoch_log):
@@ -377,6 +368,7 @@ def _stream_report(trial_set, config, decisions, epoch_log):
         decided_count=len(decided),
         held_back_count=len(outcomes) - len(decided),
         config=config,
+        trial_set=trial_set,
     )
 
 

@@ -21,6 +21,7 @@ from scipy import signal
 from .errors import FilterDesignError, ValidationError
 from .estimators import Trial
 
+DEFAULT_STIM_FREQS = (13.0, 17.0, 21.0)
 DEFAULT_HALF_BANDWIDTH = 1.0
 DEFAULT_FILTER_ORDER = 8
 
@@ -125,22 +126,16 @@ class BandpassFilterBank:
         self.stim_freqs = tuple(float(f) for f in stim_freqs)
         self.channels = int(channels)
         self.sample_rate = float(sample_rate)
-        self.half_bandwidth = float(half_bandwidth)
-        self.order = int(order)
         if sos is None:
-            sos = design_bands(self.stim_freqs, self.half_bandwidth,
-                               self.order, self.sample_rate)
+            sos = design_bands(self.stim_freqs, float(half_bandwidth),
+                               int(order), self.sample_rate)
         elif len(sos) != len(self.stim_freqs):
             raise ValidationError(
                 f"{len(sos)} filter designs for {len(self.stim_freqs)} "
                 f"stimulus frequencies")
         self.sos = [np.array(s, dtype=float) for s in sos]
-        self.reset()
-
-    def reset(self):
-        self._state = [
-            np.zeros((sos.shape[0], self.channels, 2)) for sos in self.sos
-        ]
+        self._state = [np.zeros((s.shape[0], self.channels, 2))
+                       for s in self.sos]
 
     def process(self, frame):
         """Filter a (channels x m) chunk; returns the (F*C x m) stacked output."""

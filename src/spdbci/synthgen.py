@@ -22,6 +22,7 @@ from .estimators import Trial
 from .formats import INT, INTS, NUMBER, NUMBERS, OPTIONAL_OBJECT, STRING, \
     STRINGS, check_fields, f64_array, f64_bytes, read_header, write_csv, \
     write_json
+from .preprocessing import DEFAULT_STIM_FREQS
 
 FORMAT_VERSION = "EEGSET v1"
 
@@ -50,7 +51,7 @@ class GenConfig:
 
     channels: int = 8
     sample_rate: float = 256.0
-    stim_freqs: tuple = (13.0, 17.0, 21.0)
+    stim_freqs: tuple = DEFAULT_STIM_FREQS
     trial_seconds: float = 6.0
     trials_per_class: int = 8
     snr_db: float = 10.0

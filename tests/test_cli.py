@@ -2,11 +2,16 @@ import hashlib
 import json
 import shutil
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from spdbci import cli, synthgen
+from spdbci import cli, mdrm, metrics, online, synthgen
+from spdbci.estimators import EstimatorSpec
+from spdbci.mdrm import PreprocSpec
+from spdbci.metrics import BenchConfig
+from spdbci.online import OnlineConfig
 
 
 def run(*argv):
@@ -166,19 +171,6 @@ def test_bench_small_run(tmp_path):
     assert all(r["idi_mean"] == 0.0 for r in scm_rows)
 
 
-def test_bench_thread_count_does_not_change_bytes(tmp_path):
-    data = gen_small(tmp_path, trials_per_class=4)
-    outs = []
-    for name, threads in (("b1", 1), ("b8", 8)):
-        out = tmp_path / name
-        assert run("bench", "--data", data, "--estimators", "scm,schafer",
-                   "--lengths", "1.0,5.0", "--replications", 2,
-                   "--threads", threads, "--out", out) == 0
-        outs.append(out)
-    for name in ("bench.csv", "bench.json", "run_manifest.json"):
-        assert sha(outs[0] / name) == sha(outs[1] / name)
-
-
 # ---------------------------------------------------------------------------
 # embed / potato
 # ---------------------------------------------------------------------------
@@ -271,11 +263,16 @@ def _stim_freq_past_nyquist(header):
     header["preproc_spec"]["stim_freqs"][0] = 200.0
 
 
+def _zero_fp_max_iterations(header):
+    header["estimator_spec"]["kind"] = "fixed_point"
+    header["estimator_spec"]["fp_max_iterations"] = 0
+
+
 @pytest.mark.parametrize("edit", [
     _drop_mean_tolerance, _extra_estimator_key, _string_class_count,
     _fractional_class_count, _unknown_estimator_kind,
     _negative_half_bandwidth, _zero_sample_rate, _odd_filter_order,
-    _stim_freq_past_nyquist,
+    _stim_freq_past_nyquist, _zero_fp_max_iterations,
 ])
 def test_corrupt_model_header_is_format_error(tmp_path, trained_once, edit,
                                               capsys):
@@ -397,3 +394,79 @@ def test_embed_cells_parse_as_floats(tmp_path, trained_once):
             _, _, x, y = line.split(",")
             float(x)
             float(y)
+
+
+# ---------------------------------------------------------------------------
+# flag defaults are the library's defaults
+# ---------------------------------------------------------------------------
+
+class _Called(Exception):
+    pass
+
+
+def first_call(monkeypatch, owner, name, *argv):
+    """Run a command up to its first call of ``owner.name``; return that
+    call's positional and keyword arguments."""
+    def stop(*args, **kwargs):
+        raise _Called(args, kwargs)
+
+    monkeypatch.setattr(owner, name, stop)
+    with pytest.raises(_Called) as called:
+        run(*argv)
+    return called.value.args
+
+
+def test_gen_defaults_are_gen_config(tmp_path, monkeypatch):
+    (config,), _ = first_call(monkeypatch, synthgen, "generate",
+                              "gen", "--out", tmp_path / "d")
+    assert config == synthgen.GenConfig()
+
+
+def test_eval_defaults_are_online_config(tmp_path, trained_once,
+                                         monkeypatch):
+    data, model = trained_once
+    (_, _, config), _ = first_call(monkeypatch, online, "evaluate_stream",
+                                   "eval", "--data", data, "--model", model,
+                                   "--out", tmp_path / "e")
+    assert config == OnlineConfig(curve_criterion=False)
+
+
+def test_train_defaults_are_library_specs(tmp_path, trained_once,
+                                          monkeypatch):
+    data, _ = trained_once
+    (trial_set, estimator, preproc), kwargs = first_call(
+        monkeypatch, mdrm, "train", "train", "--data", data,
+        "--out", tmp_path / "m")
+    assert estimator == EstimatorSpec()
+    assert preproc == PreprocSpec.for_trial_set(trial_set)
+    assert kwargs == {"potato_z": None}
+
+
+@pytest.mark.parametrize("command", ["embed", "potato"])
+def test_covariance_defaults_are_library_specs(tmp_path, trained_once,
+                                               monkeypatch, command):
+    data, _ = trained_once
+    (_, preproc, estimator), _ = first_call(
+        monkeypatch, mdrm, "trial_covariance", command, "--data", data,
+        "--out", tmp_path / command)
+    assert estimator == EstimatorSpec()
+    assert preproc == PreprocSpec.for_trial_set(synthgen.load(data))
+
+
+def test_potato_default_threshold(tmp_path, trained_once, monkeypatch):
+    data, _ = trained_once
+    _, kwargs = first_call(monkeypatch, mdrm, "potato_filter", "potato",
+                           "--data", data, "--out", tmp_path / "p")
+    assert kwargs == {"z_threshold": mdrm.DEFAULT_POTATO_Z}
+
+
+def test_bench_defaults_are_bench_config(tmp_path, trained_once,
+                                         monkeypatch):
+    data, _ = trained_once
+    (trial_set, config, preproc), _ = first_call(
+        monkeypatch, metrics, "run_benchmark", "bench", "--data", data,
+        "--out", tmp_path / "b")
+    # the CLI compares all six estimators; the library default is two
+    assert replace(config, estimators=BenchConfig().estimators) == \
+        BenchConfig()
+    assert preproc == PreprocSpec.for_trial_set(trial_set)

@@ -140,7 +140,7 @@ def test_shrinkage_kappa_zero_equals_scm():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 50))
     spec = est.EstimatorSpec(kind="shrinkage", target="schafer", kappa=0.0)
-    assert_allclose(est.shrinkage(make_trial(x), spec),
+    assert_allclose(est.estimate(make_trial(x), spec),
                     est.scm(make_trial(x)), atol=1e-14)
 
 
@@ -152,7 +152,7 @@ def test_shrinkage_kappa_to_one_limit_schafer():
     diag = np.diag(np.diag(cov))
     for kappa in (0.9, 0.999):
         spec = est.EstimatorSpec(kind="shrinkage", target="schafer", kappa=kappa)
-        shrunk = est.shrinkage(trial, spec)
+        shrunk = est.estimate(trial, spec)
         # algebraic identity: shrunk - diag = (1 - kappa)(scm - diag)
         assert_allclose(shrunk - diag, (1 - kappa) * (cov - diag), atol=1e-12)
 
@@ -165,7 +165,7 @@ def test_shrinkage_identity_target_improves_conditioning(target, kappa):
         x = rng.standard_normal((4, 12))
         trial = make_trial(x)
         spec = est.EstimatorSpec(kind="shrinkage", target=target, kappa=kappa)
-        assert condition_ratio(est.shrinkage(trial, spec)) < \
+        assert condition_ratio(est.estimate(trial, spec)) < \
             condition_ratio(est.scm(trial))
 
 
@@ -175,7 +175,7 @@ def test_shrinkage_identity_target_preserves_eigenvectors():
     trial = make_trial(x)
     cov = est.scm(trial)
     spec = est.EstimatorSpec(kind="shrinkage", target="ledoit", kappa=0.3)
-    shrunk = est.shrinkage(trial, spec)
+    shrunk = est.estimate(trial, spec)
     _, u0 = np.linalg.eigh(cov)
     _, u1 = np.linalg.eigh(shrunk)
     # distinct eigenvalues almost surely: vectors match up to sign
@@ -204,8 +204,9 @@ def test_analytic_kappa_in_range_and_shrinks_more_for_fewer_samples():
     mix = rng.standard_normal((4, 4)) + 2.0 * np.eye(4)
     x_long = mix @ rng.standard_normal((4, 2000))
     x_short = x_long[:, :20]
-    k_long = est.analytic_kappa(make_trial(x_long), "schafer")
-    k_short = est.analytic_kappa(make_trial(x_short), "schafer")
+    spec = est.EstimatorSpec(kind="shrinkage", target="schafer")
+    _, k_long = est.shrinkage_with_kappa(make_trial(x_long), spec)
+    _, k_short = est.shrinkage_with_kappa(make_trial(x_short), spec)
     assert 0.0 <= k_long < 1.0 and 0.0 <= k_short < 1.0
     assert k_short > k_long
 
@@ -224,6 +225,9 @@ def test_shrinkage_with_kappa_reports_weight():
 # ---------------------------------------------------------------------------
 # fixed point
 # ---------------------------------------------------------------------------
+
+FP_TIGHT = est.EstimatorSpec(kind="fixed_point", fp_tolerance=1e-10)
+
 
 def _fp_step_bruteforce(x, sigma):
     """Direct loop evaluation of one fixed-point iteration."""
@@ -249,7 +253,7 @@ def test_fixed_point_one_step_hand_oracle():
 def test_fixed_point_is_stationary():
     rng = np.random.default_rng(13)
     trial = make_trial(rng.standard_normal((3, 200)))
-    sigma = est.fixed_point(trial, tolerance=1e-10)
+    sigma = est.fixed_point(trial, FP_TIGHT)
     xc = trial.values - trial.values.mean(axis=1, keepdims=True)
     again = est._fixed_point_step(xc, sigma)
     assert np.linalg.norm(again - sigma) / np.linalg.norm(sigma) < 1e-9
@@ -262,7 +266,7 @@ def test_fixed_point_gaussian_consistency():
     chol = np.linalg.cholesky(true_cov)
     x = chol @ rng.standard_normal((4, 10_000))
     trial = make_trial(x)
-    fp = est.fixed_point(trial)
+    fp = est.fixed_point(trial, est.EstimatorSpec(kind="fixed_point"))
     scm = est.scm(trial)
     fp_n = fp / np.trace(fp)
     scm_n = scm / np.trace(scm)
@@ -274,22 +278,24 @@ def test_fixed_point_scale_invariant():
     # global rescaling of the trial, so the estimate is too.
     rng = np.random.default_rng(15)
     x = rng.standard_normal((3, 100))
-    f1 = est.fixed_point(make_trial(x), tolerance=1e-10)
-    f2 = est.fixed_point(make_trial(7.5 * x), tolerance=1e-10)
+    f1 = est.fixed_point(make_trial(x), FP_TIGHT)
+    f2 = est.fixed_point(make_trial(7.5 * x), FP_TIGHT)
     assert np.linalg.norm(f1 - f2) / np.linalg.norm(f1) < 1e-8
 
 
 def test_fixed_point_needs_more_samples_than_channels():
     rng = np.random.default_rng(16)
     with pytest.raises(ValidationError):
-        est.fixed_point(make_trial(rng.standard_normal((4, 4))))
+        est.fixed_point(make_trial(rng.standard_normal((4, 4))),
+                        est.EstimatorSpec(kind="fixed_point"))
 
 
 def test_fixed_point_nonconvergence_error():
     rng = np.random.default_rng(17)
     trial = make_trial(rng.standard_normal((3, 50)))
     with pytest.raises(ConvergenceError) as err:
-        est.fixed_point(trial, tolerance=1e-15, max_iterations=2)
+        est.fixed_point(trial, est.EstimatorSpec(
+            kind="fixed_point", fp_tolerance=1e-15, fp_max_iterations=2))
     assert err.value.last_iterate is not None
 
 
@@ -314,6 +320,12 @@ def test_spec_validation():
         est.EstimatorSpec(kind="nope")
     with pytest.raises(ValidationError):
         est.EstimatorSpec(kind="shrinkage", target="nope")
+
+
+@pytest.mark.parametrize("iterations", [0, -1])
+def test_spec_rejects_fixed_point_cap_below_one(iterations):
+    with pytest.raises(ValidationError, match="fp_max_iterations"):
+        est.EstimatorSpec(kind="fixed_point", fp_max_iterations=iterations)
 
 
 def test_spec_round_trips_through_dict():

@@ -101,15 +101,6 @@ def test_training_is_deterministic():
         assert np.array_equal(a, b)
 
 
-def test_training_threads_do_not_change_centers():
-    ts, cfg = small_set()
-    pre = preproc_for(cfg)
-    m1, _ = mdrm.train(ts, EstimatorSpec(), pre, threads=1)
-    m2, _ = mdrm.train(ts, EstimatorSpec(), pre, threads=4)
-    for a, b in zip(m1.centers, m2.centers):
-        assert np.array_equal(a, b)
-
-
 def test_missing_class_rejected():
     ts, cfg = small_set()
     keep = [i for i, lab in enumerate(ts.labels) if lab != 2]

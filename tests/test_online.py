@@ -81,18 +81,17 @@ def test_curve_telescoping_identity():
 # streaming state machine
 # ---------------------------------------------------------------------------
 
-def test_min_buffered_samples_formula():
-    config = OnlineConfig()
-    assert online.min_buffered_samples(config, 256.0) == 921 + 4 * 51
+# samples before the first possible decision at the default window,
+# step and depth and 256 Hz: w_s + (d - 1) * step_s
+MIN_BUFFERED_SAMPLES = 921 + 4 * 51
 
 
 def test_no_decision_before_minimum_samples(trained):
     model, test = trained
     config = OnlineConfig()
     state = OnlineState(model, config)
-    need = online.min_buffered_samples(config, 256.0)
     stream = np.hstack([t.values for t in test.trials])
-    decisions = state.push_samples(stream[:, :need - 1])
+    decisions = state.push_samples(stream[:, :MIN_BUFFERED_SAMPLES - 1])
     assert decisions == []
     assert state.epoch_index < config.depth
 
@@ -111,9 +110,8 @@ def test_earliest_decision_at_minimum_samples(trained):
     decisions = state.push_samples(stream)
     assert decisions, "expected at least one decision on a steady stream"
     first = decisions[0]
-    need = online.min_buffered_samples(config, 256.0)
-    assert need == 1125
-    assert first.end_sample == need
+    assert MIN_BUFFERED_SAMPLES == 1125
+    assert first.end_sample == MIN_BUFFERED_SAMPLES
     assert first.epoch_index == 5
     assert abs(first.elapsed_seconds - 4.4) < 0.01  # 1125/256, floor effects
     assert first.label == cls
@@ -360,7 +358,7 @@ def test_regate_equals_fresh_replay(carryover_scored, curve, depth, theta):
     model, test, scored = carryover_scored
     before = copy.deepcopy(scored)
     config = OnlineConfig(depth=depth, theta=theta, curve_criterion=curve)
-    again = online.regate(scored, test, config)
+    again = online.regate(scored, config)
     fresh = online.evaluate_stream(test, model, config)
     for field in dataclasses.fields(online.StreamReport):
         assert getattr(again, field.name) == getattr(fresh, field.name), \
@@ -372,6 +370,24 @@ def test_regate_equals_fresh_replay(carryover_scored, curve, depth, theta):
 @pytest.mark.parametrize("change", [{"window_seconds": 3.0},
                                     {"step_seconds": 0.25}])
 def test_regate_rejects_other_window_or_step(carryover_scored, change):
-    _, test, scored = carryover_scored
+    _, _, scored = carryover_scored
     with pytest.raises(ValidationError, match="window and step"):
-        online.regate(scored, test, OnlineConfig(**change))
+        online.regate(scored, OnlineConfig(**change))
+
+
+def test_regate_scores_the_set_it_was_given(carryover_scored):
+    _, test, scored = carryover_scored
+    assert scored.trial_set is test
+    again = online.regate(scored, OnlineConfig(curve_criterion=False))
+    assert again.trial_set is test
+    assert again == scored
+
+
+def test_stream_rejects_other_sample_rate(trained):
+    model, _ = trained
+    fast = synthgen.generate(synthgen.GenConfig(
+        sample_rate=512.0, trials_per_class=2, seed=1))
+    with pytest.raises(ValidationError, match="sample rate 512.0"):
+        online.evaluate_stream(fast, model)
+    with pytest.raises(ValidationError, match="sample rate 512.0"):
+        mdrm.classify(fast.trials[0], model)
