@@ -90,8 +90,19 @@ def _add_preproc_flags(parser):
 
 
 def _estimator(args):
-    return spec_from_name(args.estimator, kappa=args.kappa,
+    spec = spec_from_name(args.estimator, kappa=args.kappa,
                           blankertz_scale=args.blankertz_scale)
+    # a flag the chosen estimator would ignore is refused, not dropped
+    if args.kappa is not None and spec.kind != "shrinkage":
+        raise ValidationError(
+            f"--kappa applies only to ledoit, blankertz and schafer, "
+            f"not {args.estimator}")
+    if args.blankertz_scale != EstimatorSpec.blankertz_scale and \
+            (spec.kind, spec.target) != ("shrinkage", "blankertz"):
+        raise ValidationError(
+            f"--blankertz-scale applies only to blankertz, "
+            f"not {args.estimator}")
+    return spec
 
 
 def _dataset_preproc(trial_set, args):
@@ -390,7 +401,10 @@ def build_parser():
                          default=BenchConfig.trial_lengths_seconds)
     p_bench.add_argument("--replications", type=int,
                          default=BenchConfig.replications)
-    p_bench.add_argument("--kappa", type=float)
+    p_bench.add_argument("--kappa", type=float,
+                         help="fixed shrinkage weight for the ledoit, "
+                              "blankertz and schafer estimators; the "
+                              "others ignore it")
     _add_filter_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 

@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 
-DEGENERATE_SAMPLE_ENERGY = 1e-12
+# A sample whose inter-channel energy is at most this fraction of the
+# trial's mean sample energy has no usable direction for the NSCM.
+DEGENERATE_SAMPLE_RTOL = 1e-12
 RANK_DEFICIENCY_RTOL = 1e-10
 
 SHRINKAGE_TARGETS = ("ledoit", "blankertz", "schafer")
@@ -167,17 +169,20 @@ def nscm(trial):
 
     Each centered sample's outer product is divided by its squared norm
     before averaging, which makes the estimate invariant to a global
-    rescaling of the trial. Samples with energy below
-    ``DEGENERATE_SAMPLE_ENERGY`` are rejected.
+    rescaling of the trial. A sample whose energy is at most
+    ``DEGENERATE_SAMPLE_RTOL`` times the trial's mean sample energy is
+    rejected, so a trial that is all zeros is rejected as well.
     """
     xc = _centered(trial)
     c, n = xc.shape
     energy = np.sum(xc * xc, axis=0)
-    bad = np.flatnonzero(energy < DEGENERATE_SAMPLE_ENERGY)
+    mean_energy = energy.mean()
+    bad = np.flatnonzero(energy <= DEGENERATE_SAMPLE_RTOL * mean_energy)
     if bad.size:
         raise ValidationError(
             f"degenerate sample at index {bad[0]}: inter-channel energy "
-            f"{energy[bad[0]]:.3e} below {DEGENERATE_SAMPLE_ENERGY:.0e}")
+            f"{energy[bad[0]]:.3e}, at most {DEGENERATE_SAMPLE_RTOL:.0e} "
+            f"of the trial's mean {mean_energy:.3e}")
     scaled = xc / np.sqrt(energy)
     cov = (c / n) * (scaled @ scaled.T)
     return (cov + cov.T) / 2.0

@@ -14,7 +14,6 @@ decomposition: for a symmetric ``A = U diag(a) U^T``,
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConvergenceError, ValidationError
 
@@ -183,6 +182,10 @@ def _whitened_spectra(chol, mats, names):
     Both triangular solves run once over the K matrices laid side by side
     (C x K*C), and one stacked ``eigvalsh`` takes every spectrum.
     """
+    # imported here, not at module level, to keep scipy.linalg out of
+    # start-up; later calls find the module already loaded
+    from scipy.linalg import solve_triangular
+
     k, c, _ = mats.shape
     tmp = solve_triangular(chol, mats.transpose(1, 0, 2).reshape(c, k * c),
                            lower=True)

@@ -16,7 +16,6 @@ filtered stream.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import FilterDesignError, ValidationError
 from .estimators import Trial
@@ -83,6 +82,10 @@ def design_bandpass(spec):
     The passband is [center - hb, center + hb] at the spec's order.
     Designs whose poles leave the unit circle are rejected.
     """
+    # scipy.signal costs most of a second to import (it loads
+    # scipy.stats), so only the commands that filter pay for it
+    from scipy import signal
+
     low = spec.center_freq - spec.half_bandwidth
     high = spec.center_freq + spec.half_bandwidth
     if low <= 0:
@@ -134,6 +137,10 @@ class BandpassFilterBank:
                 f"{len(sos)} filter designs for {len(self.stim_freqs)} "
                 f"stimulus frequencies")
         self.sos = [np.array(s, dtype=float) for s in sos]
+        # bound once here (see design_bandpass), not looked up per frame
+        from scipy.signal import sosfilt
+
+        self._sosfilt = sosfilt
         self._state = [np.zeros((s.shape[0], self.channels, 2))
                        for s in self.sos]
 
@@ -145,7 +152,7 @@ class BandpassFilterBank:
                 f"frame must have {self.channels} rows, got shape {frame.shape}")
         blocks = []
         for band, sos in enumerate(self.sos):
-            out, self._state[band] = signal.sosfilt(
+            out, self._state[band] = self._sosfilt(
                 sos, frame, axis=1, zi=self._state[band])
             blocks.append(out)
         return np.vstack(blocks)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,17 @@ def random_spd(rng, dim, spread=1.0):
     q, _ = np.linalg.qr(a)
     eigs = np.exp(spread * rng.standard_normal(dim))
     return (q * eigs) @ q.T
+
+
+def frames_of(values, sizes):
+    """``values`` (channels x samples) cut into consecutive frames whose
+    lengths cycle through ``sizes``; the last frame may be shorter."""
+    frames, start = [], 0
+    for size in itertools.cycle(sizes):
+        if start >= values.shape[1]:
+            return frames
+        frames.append(values[:, start:start + size])
+        start += size
 
 
 def random_sym(rng, dim, scale=1.0):

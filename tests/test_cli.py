@@ -470,3 +470,57 @@ def test_bench_defaults_are_bench_config(tmp_path, trained_once,
     assert replace(config, estimators=BenchConfig().estimators) == \
         BenchConfig()
     assert preproc == PreprocSpec.for_trial_set(trial_set)
+
+
+# ---------------------------------------------------------------------------
+# estimator flags that the chosen estimator would ignore
+# ---------------------------------------------------------------------------
+
+IGNORED_FLAGS = [
+    *[(name, ("--kappa", 0.3)) for name in ("scm", "nscm", "fixed-point")],
+    *[(name, ("--blankertz-scale", "channels"))
+      for name in ("scm", "nscm", "fixed-point", "ledoit", "schafer")],
+]
+
+
+@pytest.mark.parametrize("command", ["train", "embed", "potato"])
+@pytest.mark.parametrize("estimator, flag", IGNORED_FLAGS,
+                         ids=[f"{e}{f[0]}" for e, f in IGNORED_FLAGS])
+def test_ignored_estimator_flag_is_validation_error(tmp_path, trained_once,
+                                                    capsys, command,
+                                                    estimator, flag):
+    data, _ = trained_once
+    assert run(command, "--data", data, "--out", tmp_path / command,
+               "--estimator", estimator, *flag) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag[0] in err
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (("--estimator", "ledoit", "--kappa", 0.3),
+     EstimatorSpec(target="ledoit", kappa=0.3)),
+    (("--estimator", "blankertz", "--kappa", 0.2,
+      "--blankertz-scale", "channels"),
+     EstimatorSpec(target="blankertz", kappa=0.2,
+                   blankertz_scale="channels")),
+    (("--estimator", "scm", "--blankertz-scale", "matrix_space"),
+     EstimatorSpec(kind="scm")),
+], ids=["ledoit", "blankertz", "scm"])
+def test_applicable_estimator_flags_reach_the_spec(tmp_path, trained_once,
+                                                   monkeypatch, argv, spec):
+    data, _ = trained_once
+    (_, estimator, _), _ = first_call(monkeypatch, mdrm, "train", "train",
+                                      "--data", data, "--out",
+                                      tmp_path / "m", *argv)
+    assert estimator == spec
+
+
+def test_bench_kappa_applies_to_shrinkage_estimators_only(tmp_path,
+                                                          trained_once,
+                                                          monkeypatch):
+    data, _ = trained_once
+    (_, config, _), _ = first_call(
+        monkeypatch, metrics, "run_benchmark", "bench", "--data", data,
+        "--out", tmp_path / "b", "--estimators", "scm,schafer,fixed-point",
+        "--kappa", 0.3)
+    assert [s.kappa for s in config.estimators] == [None, 0.3, None]

@@ -106,8 +106,11 @@ def test_nscm_unit_norm_columns():
 def test_nscm_scale_invariance():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 50))
-    assert_allclose(est.nscm(make_trial(x)), est.nscm(make_trial(10.0 * x)),
-                    atol=1e-12)
+    # the degenerate-sample rule is relative to the trial's own energy,
+    # so data in volts (1e-6) or smaller is not rejected
+    for scale in (10.0, 1e-9, 1e-6, 1e6):
+        assert_allclose(est.nscm(make_trial(x)),
+                        est.nscm(make_trial(scale * x)), atol=1e-12)
 
 
 def test_nscm_hand_oracle():
@@ -130,6 +133,9 @@ def test_nscm_degenerate_sample_names_index():
     z = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 2.0, -2.0, 0.0]])
     with pytest.raises(ValidationError, match="index 0"):
         est.nscm(make_trial(z))
+    # a trial of zeros has no energy to be relative to, and is rejected
+    with pytest.raises(ValidationError, match="index 0"):
+        est.nscm(make_trial(np.zeros((3, 10))))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +285,9 @@ def test_fixed_point_scale_invariant():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((3, 100))
     f1 = est.fixed_point(make_trial(x), FP_TIGHT)
-    f2 = est.fixed_point(make_trial(7.5 * x), FP_TIGHT)
-    assert np.linalg.norm(f1 - f2) / np.linalg.norm(f1) < 1e-8
+    for scale in (7.5, 1e-9, 1e-6, 1e6):
+        f2 = est.fixed_point(make_trial(scale * x), FP_TIGHT)
+        assert np.linalg.norm(f1 - f2) / np.linalg.norm(f1) < 1e-8
 
 
 def test_fixed_point_needs_more_samples_than_channels():

@@ -5,6 +5,7 @@ from spdbci import manifold, mdrm, preprocessing, synthgen
 from spdbci.errors import ValidationError
 from spdbci.estimators import EstimatorSpec, Trial
 from spdbci.mdrm import ClassModel, PreprocSpec
+from spdbci.synthgen import GenConfig
 from spdbci.preprocessing import BandpassFilterBank, FilterSpec, \
     design_bandpass, extend_trial
 
@@ -216,6 +217,25 @@ def test_model_equivariance_under_channel_mixing():
     preds0 = [mdrm.classify(t, model0)[0] for t in ts.trials]
     preds1 = [mdrm.classify(t, model1)[0] for t in mixed.trials]
     assert preds0 == preds1
+
+
+@pytest.mark.parametrize("kind", ["nscm", "fixed_point"])
+def test_normalized_estimators_train_on_any_data_scale(kind):
+    # the same recording in volts (1e-6) or nanovolts (1e3) trains the
+    # same centers: both estimators are invariant to the trial's scale
+    ts, cfg = small_set(trials_per_class=8, snr_db=GenConfig.snr_db)
+    pre = preproc_for(cfg)
+    spec = EstimatorSpec(kind=kind)
+    model, _ = mdrm.train(ts, spec, pre)
+    labels = [mdrm.classify(t, model)[0] for t in ts.trials]
+    for scale in (1e-6, 1e3):
+        scaled = synthgen.TrialSet(
+            [Trial(scale * t.values, t.sample_rate) for t in ts.trials],
+            list(ts.labels), dict(ts.meta))
+        other, _ = mdrm.train(scaled, spec, pre)
+        for c0, c1 in zip(model.centers, other.centers):
+            assert np.linalg.norm(c1 - c0) / np.linalg.norm(c0) < 1e-9
+        assert [mdrm.classify(t, other)[0] for t in scaled.trials] == labels
 
 
 # ---------------------------------------------------------------------------

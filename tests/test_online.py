@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdbci import mdrm, online, synthgen
 from spdbci.errors import ValidationError
@@ -10,6 +12,8 @@ from spdbci.estimators import EstimatorSpec, Trial
 from spdbci.mdrm import PreprocSpec
 from spdbci.online import OnlineConfig, OnlineState
 from spdbci.preprocessing import epoch_stream
+
+from conftest import frames_of
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +279,30 @@ def test_epoch_log_csv(tmp_path, trained):
     assert len(lines) == 1 + len(report.epoch_log)
     first = lines[1].split(",")
     assert first[0] == "1"
+
+
+@pytest.fixture(scope="module")
+def pushed_whole(trained):
+    """Three test trials pushed as one frame: the stream, its decisions
+    and its epoch log."""
+    model, test = trained
+    stream = np.hstack([t.values for t in test.trials[:3]])
+    state = OnlineState(model, OnlineConfig())
+    return stream, state.push_samples(stream), state.epoch_log
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(sizes=st.lists(st.integers(1, 600), min_size=1, max_size=20))
+def test_random_chunkings_give_identical_decisions(trained, pushed_whole,
+                                                   sizes):
+    model, _ = trained
+    stream, decisions, epoch_log = pushed_whole
+    state = OnlineState(model, OnlineConfig())
+    chunked = []
+    for frame in frames_of(stream, sizes):
+        chunked.extend(state.push_samples(frame))
+    assert chunked == decisions
+    assert state.epoch_log == epoch_log
 
 
 def test_buffer_bounded_and_frame_size_invariant(trained):

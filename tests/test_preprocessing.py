@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import signal
 
 from spdbci import preprocessing as pp
 from spdbci.errors import FilterDesignError, ValidationError
 from spdbci.estimators import Trial
+
+from conftest import frames_of
 
 FS = 256.0
 
@@ -135,6 +139,16 @@ def test_offline_and_streaming_paths_share_coefficients():
     out = np.hstack([bank.process(trial.values[:, i:i + 97])
                      for i in range(0, 1000, 97)])
     assert np.array_equal(out, offline.values)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(sizes=st.lists(st.integers(1, 600), min_size=1, max_size=20))
+def test_random_chunkings_filter_bit_identically(sizes):
+    values = np.random.default_rng(9).standard_normal((4, 1500))
+    whole = pp.BandpassFilterBank([13.0, 17.0, 21.0], 4, FS).process(values)
+    bank = pp.BandpassFilterBank([13.0, 17.0, 21.0], 4, FS)
+    out = np.hstack([bank.process(f) for f in frames_of(values, sizes)])
+    assert np.array_equal(out, whole)
 
 
 def test_filter_bank_frame_validation():
