@@ -138,9 +138,9 @@ def cmd_gen(args):
 
 def cmd_train(args):
     trial_set = synthgen.load(args.data)
-    out = _prepare_out(args.out, args.force)
     estimator = _estimator(args)
     preproc = _dataset_preproc(trial_set, args)
+    out = _prepare_out(args.out, args.force)
     mean_kwargs = {}
     if args.mean_tol is not None:
         mean_kwargs["mean_tolerance"] = args.mean_tol
@@ -171,13 +171,13 @@ def cmd_train(args):
 def cmd_eval(args):
     trial_set = synthgen.load(args.data)
     model = mdrm.load_model(args.model)
+    config = OnlineConfig(window_seconds=args.window, step_seconds=args.step,
+                          depth=args.depth, theta=args.theta)
     out = _prepare_out(args.out, args.force)
 
     offline = [mdrm.classify(t, model)[0] for t in trial_set.trials]
     offline_opt = [mdrm.classify(t, model, latency_override=args.latency)[0]
                    for t in trial_set.trials]
-    config = OnlineConfig(window_seconds=args.window, step_seconds=args.step,
-                          depth=args.depth, theta=args.theta)
     # one replay scores the stream; the curve gate reuses its epochs
     plain = online.evaluate_stream(trial_set, model,
                                    replace(config, curve_criterion=False))
@@ -233,7 +233,6 @@ def cmd_eval(args):
 
 def cmd_bench(args):
     trial_set = synthgen.load(args.data)
-    out = _prepare_out(args.out, args.force)
     specs = tuple(spec_from_name(name, kappa=args.kappa)
                   for name in args.estimators.split(","))
     config = BenchConfig(
@@ -243,6 +242,7 @@ def cmd_bench(args):
         seed=args.seed,
     )
     preproc = _dataset_preproc(trial_set, args)
+    out = _prepare_out(args.out, args.force)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RankDeficientCovarianceWarning)
         report = metrics.run_benchmark(trial_set, config, preproc)
@@ -266,23 +266,30 @@ def cmd_bench(args):
           f"lengths x {args.replications} replications -> {out / 'bench.csv'}")
 
 
-def _dataset_covariances(trial_set, args, model=None):
-    if model is not None:
-        preproc = model.preproc_spec
-        estimator = model.estimator_spec
-    else:
-        preproc = _dataset_preproc(trial_set, args)
-        estimator = _estimator(args)
-    covs = [mdrm.trial_covariance(t, preproc, estimator)
-            for t in trial_set.trials]
-    return covs, preproc, estimator
+def _dataset_specs(trial_set, args, model=None):
+    """``(preproc, estimator)``: the model's specs when one is given, else
+    the ones the flags build."""
+    if model is None:
+        return _dataset_preproc(trial_set, args), _estimator(args)
+    # the model fixes both specs, so a flag that would change them is
+    # refused rather than ignored
+    defaults = argparse.ArgumentParser(add_help=False)
+    _add_preproc_flags(defaults)
+    for name, default in vars(defaults.parse_args([])).items():
+        if getattr(args, name) != default:
+            raise ValidationError(
+                f"--{name.replace('_', '-')} does not apply with --model, "
+                f"whose estimator and filters are used")
+    return model.preproc_spec, model.estimator_spec
 
 
 def cmd_embed(args):
     trial_set = synthgen.load(args.data)
     model = mdrm.load_model(args.model) if args.model else None
+    preproc, estimator = _dataset_specs(trial_set, args, model)
     out = _prepare_out(args.out, args.force)
-    covs, preproc, estimator = _dataset_covariances(trial_set, args, model)
+    covs = [mdrm.trial_covariance(t, preproc, estimator)
+            for t in trial_set.trials]
     centers = list(model.centers) if model is not None else None
 
     artifacts = []
@@ -313,8 +320,10 @@ def cmd_embed(args):
 
 def cmd_potato(args):
     trial_set = synthgen.load(args.data)
+    preproc, estimator = _dataset_specs(trial_set, args)
     out = _prepare_out(args.out, args.force)
-    covs, preproc, estimator = _dataset_covariances(trial_set, args)
+    covs = [mdrm.trial_covariance(t, preproc, estimator)
+            for t in trial_set.trials]
     result = mdrm.potato_filter(covs, z_threshold=args.z)
     write_csv(out / "potato.csv",
               ("trial", "label", "distance", "zscore", "kept"),

@@ -115,7 +115,6 @@ class EstimatorSpec:
 
 def spec_from_name(name, kappa=EstimatorSpec.kappa,
                    blankertz_scale=EstimatorSpec.blankertz_scale,
-                   fp_tolerance=EstimatorSpec.fp_tolerance,
                    fp_max_iterations=EstimatorSpec.fp_max_iterations):
     """Build an EstimatorSpec from a short CLI-style name.
 
@@ -125,8 +124,7 @@ def spec_from_name(name, kappa=EstimatorSpec.kappa,
     """
     key = name.strip().lower().replace("-", "_")
     if key in ("scm", "nscm", "fixed_point"):
-        return EstimatorSpec(kind=key, fp_tolerance=fp_tolerance,
-                             fp_max_iterations=fp_max_iterations)
+        return EstimatorSpec(kind=key, fp_max_iterations=fp_max_iterations)
     if key in SHRINKAGE_TARGETS:
         return EstimatorSpec(kind="shrinkage", target=key, kappa=kappa,
                              blankertz_scale=blankertz_scale)

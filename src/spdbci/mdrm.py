@@ -264,9 +264,7 @@ def classify(trial, model, latency_override=None):
     return classify_covariance(cov, model)
 
 
-def potato_filter(covs, z_threshold=DEFAULT_POTATO_Z,
-                  mean_tolerance=POOLED_MEAN_TOLERANCE,
-                  mean_max_iterations=POOLED_MEAN_MAX_ITERATIONS):
+def potato_filter(covs, z_threshold=DEFAULT_POTATO_Z):
     """Keep covariances whose distance to the pooled mean is unexceptional.
 
     The reference is the geometric mean of all inputs; matrix i is kept
@@ -278,7 +276,8 @@ def potato_filter(covs, z_threshold=DEFAULT_POTATO_Z,
         raise ValidationError("z_threshold must be positive")
     if len(covs) < 2:
         raise ValidationError("outlier filtering needs at least 2 matrices")
-    reference = manifold.karcher_mean(covs, mean_tolerance, mean_max_iterations)
+    reference = manifold.karcher_mean(covs, POOLED_MEAN_TOLERANCE,
+                                      POOLED_MEAN_MAX_ITERATIONS)
     dists = np.array([manifold.distance(cov, reference) for cov in covs])
     spread = float(dists.std())
     if spread < 1e-12:

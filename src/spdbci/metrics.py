@@ -183,42 +183,25 @@ def _crop(trial, length_seconds):
     return Trial(trial.values[:, :count], trial.sample_rate)
 
 
-def _bench_estimate(trial, spec):
-    """``(covariance, kappa or None, stalled)`` of one trial.
+def _estimate_all(trials, spec):
+    """``(covariances, mean kappa or None, stalled count)`` of one spec.
 
     A fixed-point estimate that runs out of iterations (some short crops
     need more than the default cap) is scored at its last iterate and
-    flagged, rather than aborting the whole comparison.
+    counted, rather than aborting the whole comparison.
     """
     if spec.kind == "shrinkage":
-        return (*shrinkage_with_kappa(trial, spec), False)
-    try:
-        return estimate(trial, spec), None, False
-    except ConvergenceError as exc:
-        return exc.last_iterate, None, True
-
-
-def _covariance_cache(trial_set, preproc, specs, lengths):
-    """Covariance of every trial per length and estimator, with the mean
-    kappa (shrinkage) and the count of stalled estimates per key.
-
-    Resampling reuses the same trials across replications, so each
-    (length, estimator, trial) covariance is computed exactly once.
-    """
-    cache = {}
-    kappas = {}
-    stalled = {}
-    for length in lengths:
-        extended = [preprocess_trial(_crop(t, length), preproc)
-                    for t in trial_set.trials]
-        for spec in specs:
-            key = (length, estimator_label(spec))
-            results = [_bench_estimate(t, spec) for t in extended]
-            cache[key] = [cov for cov, _, _ in results]
-            kap = [kappa for _, kappa, _ in results if kappa is not None]
-            kappas[key] = float(np.mean(kap)) if kap else None
-            stalled[key] = sum(flag for _, _, flag in results)
-    return cache, kappas, stalled
+        pairs = [shrinkage_with_kappa(t, spec) for t in trials]
+        return ([cov for cov, _ in pairs],
+                float(np.mean([kappa for _, kappa in pairs])), 0)
+    covs, stalled = [], 0
+    for trial in trials:
+        try:
+            covs.append(estimate(trial, spec))
+        except ConvergenceError as exc:
+            covs.append(exc.last_iterate)
+            stalled += 1
+    return covs, None, stalled
 
 
 def run_benchmark(trial_set, config=None, preproc=None, threads=1):
@@ -227,9 +210,11 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     Resample indices for every replication are drawn up front from the
     seed, so results do not depend on execution order. The plain SCM is
     always evaluated as the baseline for the discrimination-improvement
-    column. A class mean or a fixed-point estimate that stalls is scored
-    at its last iterate and counted in the ``unconverged_means`` or
-    ``unconverged_estimates`` column.
+    column. Each spec is scored on its own covariances; resampling reuses
+    the same trials across replications, so each (length, spec, trial)
+    covariance is computed exactly once. A class mean or a fixed-point
+    estimate that stalls is scored at its last iterate and counted in the
+    ``unconverged_means`` or ``unconverged_estimates`` column.
 
     ``threads`` is accepted and ignored: work is single-threaded apart
     from BLAS. It stays only because the benchmark in ``perfbench/``
@@ -266,14 +251,6 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
             test_idx.extend(int(x) for x in draw[half:])
         splits.append((train_idx, test_idx))
 
-    baseline = EstimatorSpec(kind="scm")
-    specs = list(config.estimators)
-    if not any(estimator_label(s) == "scm" for s in specs):
-        specs = specs + [baseline]
-    lengths = list(config.trial_lengths_seconds)
-    cache, kappas, stalled_estimates = _covariance_cache(
-        trial_set, preproc, specs, lengths)
-
     def evaluate_split(train_idx, test_idx, covs):
         by_cls = {}
         for i in train_idx:
@@ -302,18 +279,18 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
         return predictions, np.array(scores), truth, stalled
 
     rows = []
-    for length in lengths:
-        scm_key = (length, "scm")
-        scm_runs = [evaluate_split(tr, te, cache[scm_key])
-                    for tr, te in splits]
+    for length in config.trial_lengths_seconds:
+        trials = [preprocess_trial(_crop(t, length), preproc)
+                  for t in trial_set.trials]
+        baseline = _estimate_all(trials, EstimatorSpec(kind="scm"))
+        scm_runs = [evaluate_split(tr, te, baseline[0]) for tr, te in splits]
         for spec in config.estimators:
             label = estimator_label(spec)
-            key = (length, label)
             if label == "scm":
-                runs = scm_runs
+                (covs, kappa, stalled_estimates), runs = baseline, scm_runs
             else:
-                runs = [evaluate_split(tr, te, cache[key])
-                        for tr, te in splits]
+                covs, kappa, stalled_estimates = _estimate_all(trials, spec)
+                runs = [evaluate_split(tr, te, covs) for tr, te in splits]
             accs, itrs, idis = [], [], []
             stalled_total = 0
             for (preds, scores, truth, stalled), (_, scm_scores, _, _) in \
@@ -324,7 +301,7 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
                 idis.append(idi(scores, scm_scores, truth))
                 stalled_total += stalled
             cond = float(np.mean([manifold.condition_ratio(c)
-                                  for c in cache[key]]))
+                                  for c in covs]))
             rows.append(BenchRow(
                 estimator=label,
                 length_seconds=float(length),
@@ -334,9 +311,9 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
                 itr_std=float(np.std(itrs)),
                 cond_mean=cond,
                 idi_mean=float(np.mean(idis)),
-                kappa_mean=kappas[key],
+                kappa_mean=kappa,
                 unconverged_means=stalled_total,
-                unconverged_estimates=stalled_estimates[key],
+                unconverged_estimates=stalled_estimates,
             ))
     return BenchReport(rows=rows, replications=config.replications,
                        seed=config.seed)

@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spdbci import cli, mdrm, metrics, online, synthgen
 from spdbci.estimators import EstimatorSpec
@@ -494,6 +496,43 @@ def test_ignored_estimator_flag_is_validation_error(tmp_path, trained_once,
                "--estimator", estimator, *flag) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag[0] in err
+    assert not (tmp_path / command).exists()
+
+
+# stands for the trained model's path in the argument lists below
+MODEL = object()
+MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
+                    ("--blankertz-scale", "channels"), ("--latency", 3.0),
+                    ("--half-bandwidth", 2.0), ("--filter-order", 6)]
+
+
+@pytest.mark.parametrize("command, argv, named", [
+    ("train", ("--estimator", "bogus"), "bogus"),
+    ("eval", ("--model", MODEL, "--window", 0.1, "--step", 0.2), "step"),
+    *[("embed", ("--model", MODEL, *flag), flag[0])
+      for flag in MODEL_SPEC_FLAGS],
+], ids=["train-estimator", "eval-step",
+        *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS]])
+def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
+                                    argv, named):
+    data, model = trained_once
+    out = tmp_path / command
+    assert run(command, "--data", data, "--out", out,
+               *[model if a is MODEL else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
+
+
+def test_embed_model_takes_flags_at_their_defaults(tmp_path, trained_once):
+    data, model = trained_once
+    plain, explicit = tmp_path / "plain", tmp_path / "explicit"
+    assert run("embed", "--data", data, "--model", model, "--out", plain) == 0
+    assert run("embed", "--data", data, "--model", model, "--out", explicit,
+               "--estimator", "schafer", "--latency", 0,
+               "--filter-order", PreprocSpec.filter_order) == 0
+    for name in ("embed.csv", "run_manifest.json"):
+        assert sha(plain / name) == sha(explicit / name)
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -524,3 +563,55 @@ def test_bench_kappa_applies_to_shrinkage_estimators_only(tmp_path,
         "--out", tmp_path / "b", "--estimators", "scm,schafer,fixed-point",
         "--kappa", 0.3)
     assert [s.kappa for s in config.estimators] == [None, 0.3, None]
+
+
+# ---------------------------------------------------------------------------
+# generated corruptions of a model and a manifest
+# ---------------------------------------------------------------------------
+
+CORRUPTIONS = st.tuples(
+    st.sampled_from(["model header", "model payload", "manifest"]),
+    st.sampled_from(["flip", "truncate"]),
+    st.integers(0, 2 ** 20),
+    st.integers(1, 255))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(corruption=CORRUPTIONS)
+def test_corrupted_inputs_exit_with_documented_codes(tmp_path, trained_once,
+                                                     capsys, corruption):
+    target, kind, at, mask = corruption
+    source_data, source_model = trained_once
+    data = tmp_path / "data"
+    if not data.exists():
+        shutil.copytree(source_data, data)
+    manifest = (source_data / "manifest.json").read_bytes()
+    model = source_model.read_bytes()
+    newline = model.index(b"\n")
+    blob, start, end = {
+        "model header": (model, 0, newline),
+        "model payload": (model, newline + 1, len(model)),
+        "manifest": (manifest, 0, len(manifest)),
+    }[target]
+    i = start + at % (end - start)
+    if kind == "flip":
+        broken = blob[:i] + bytes([blob[i] ^ mask]) + blob[i + 1:]
+    else:
+        broken = blob[:i]
+    is_manifest = target == "manifest"
+    (data / "manifest.json").write_bytes(broken if is_manifest else manifest)
+    (tmp_path / "model.mdrm").write_bytes(model if is_manifest else broken)
+
+    code = run("eval", "--data", data, "--model", tmp_path / "model.mdrm",
+               "--out", tmp_path / "e", "--force")
+    err = capsys.readouterr().err
+    # a flip can leave a well-formed file (JSON whitespace, a label, a
+    # mantissa bit), and the run then succeeds
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert err.startswith(("error: ", "numerical error: ", "i/o error: "))
+    # a cut model always loses bytes its header or size rule needs; a cut
+    # manifest is still whole when only its final newline went
+    if kind == "truncate" and (not is_manifest or blob[i:].strip()):
+        assert code == 4

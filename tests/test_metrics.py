@@ -294,3 +294,27 @@ def test_benchmark_scores_stalled_fixed_point_estimate():
     assert row.estimator == "fixed_point"
     assert row.unconverged_estimates == 1
     assert 0.0 <= row.acc_mean <= 100.0 and np.isfinite(row.idi_mean)
+
+
+@pytest.mark.parametrize("pair", [
+    (EstimatorSpec(target="schafer"),
+     EstimatorSpec(target="schafer", kappa=0.9)),
+    (EstimatorSpec(kind="fixed_point", fp_max_iterations=1),
+     EstimatorSpec(kind="fixed_point")),
+], ids=["schafer", "fixed_point"])
+def test_benchmark_scores_same_label_specs_apart(bench_inputs, pair):
+    ts, pre = bench_inputs
+
+    def rows(specs):
+        config = metrics.BenchConfig(replications=2,
+                                     trial_lengths_seconds=(1.0,),
+                                     estimators=specs, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return metrics.run_benchmark(ts, config, pre).rows
+
+    together = rows(pair)
+    assert together == rows(pair[:1]) + rows(pair[1:])
+    if pair[0].kind == "fixed_point":
+        assert together[0].unconverged_estimates == len(ts.trials)
+        assert together[1].unconverged_estimates == 0

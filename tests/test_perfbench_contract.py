@@ -9,7 +9,9 @@ suite instead.
 import inspect
 from pathlib import Path
 
-from spdbci import metrics
+import numpy as np
+
+from spdbci import mdrm, metrics, online, synthgen
 from spdbci.estimators import spec_from_name
 from spdbci.preprocessing import BandpassFilterBank
 
@@ -31,3 +33,25 @@ def test_benchmark_call_signatures():
     # positional, with no sections given: the bank designs its own
     bank = BandpassFilterBank((13.0, 17.0, 21.0), 8, 256.0, 1.0, 8)
     assert len(bank.sos) == 3
+
+
+def test_fields_the_benchmark_reads():
+    trial_set = synthgen.generate(synthgen.GenConfig(trials_per_class=2))
+    config = metrics.BenchConfig(replications=1,
+                                 trial_lengths_seconds=(1.0,),
+                                 estimators=(spec_from_name("schafer"),))
+    assert config.mean_tolerance > 0 and config.mean_max_iterations > 0
+    report = metrics.run_benchmark(trial_set, config, threads=1)
+    assert report.replications == 1
+    (row,) = report.rows
+    for name in ("estimator", "length_seconds", "acc_mean", "acc_std",
+                 "itr_mean", "itr_std", "cond_mean", "idi_mean",
+                 "kappa_mean", "unconverged_means"):
+        getattr(row, name)
+
+    model, _ = mdrm.train(trial_set)
+    state = online.OnlineState(model)
+    state.push_samples(np.hstack([t.values for t in trial_set.trials]))
+    assert state.epoch_index > 0 and state.epoch_log
+    for entry in state.epoch_log:
+        assert {"end_sample", "label", "candidate", "decided"} <= set(entry)
