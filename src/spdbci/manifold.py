@@ -198,6 +198,49 @@ def _whitened_spectra(chol, mats, names):
                      for row, name in zip(w, names)])
 
 
+class FactoredStack:
+    """A (K, C, C) stack of SPD references, validated and factored once.
+
+    Holds the inverse lower Cholesky factor ``L_k^-1`` of each reference,
+    so that :func:`distance` scores any number of points against the
+    same references without factoring anything per point: one batched
+    ``L_k^-1 P L_k^-T``, one stacked ``eigvalsh``. ``name`` names the
+    stack in errors; a reference that is not finite, symmetric and
+    positive definite raises :class:`ValidationError` here.
+    """
+
+    def __init__(self, mats, name="p2"):
+        from scipy.linalg import solve_triangular
+
+        mats = np.asarray(mats, dtype=float)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or not mats.size:
+            raise ValidationError(
+                f"{name} must be a nonempty (K, C, C) stack, got shape "
+                f"{mats.shape}")
+        names = [f"{name}[{k}]" for k in range(len(mats))]
+        eye = np.eye(mats.shape[1])
+        inv = []
+        for mat, member in zip(_symmetrize_stack(mats, names), names):
+            try:
+                chol = np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError as exc:
+                raise ValidationError(
+                    f"{member} is not positive definite") from exc
+            inv.append(solve_triangular(chol, eye, lower=True))
+        self.inv_chol = np.array(inv)
+        self.inv_chol_t = np.ascontiguousarray(
+            self.inv_chol.transpose(0, 2, 1))
+
+    def distances(self, p1):
+        """Distances from the symmetrized point ``p1`` to each reference:
+        the whitened spectra are those of ``p2_k^-1 p1``, the inverses of
+        the ones :func:`distance` takes, and only squared logs count."""
+        white = self.inv_chol @ p1 @ self.inv_chol_t
+        w = np.linalg.eigvalsh((white + white.transpose(0, 2, 1)) / 2.0)
+        w = np.array([_clamped_positive(row, "p1") for row in w])
+        return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
+
+
 def distance(p1, p2):
     """Affine-invariant geodesic distance from ``p1`` to ``p2``.
 
@@ -208,8 +251,17 @@ def distance(p1, p2):
     (eigenvalues of ``L^-1 p2 L^-T``) instead of forming the product
     explicitly; the spectra coincide. A stack shares that one
     factorization and is scored in one pass.
+
+    ``p2`` may also be a :class:`FactoredStack`, for many ``p1`` against
+    fixed references: each reference's own factor whitens ``p1`` and the
+    array of K distances agrees with the plain stack's to roundoff.
     """
     p1 = symmetrize(p1, "p1")
+    if isinstance(p2, FactoredStack):
+        if p2.inv_chol.shape[1:] != p1.shape:
+            raise ValidationError(
+                f"dimension mismatch: {p1.shape} vs {p2.inv_chol.shape}")
+        return p2.distances(p1)
     p2 = np.asarray(p2, dtype=float)
     if p2.ndim not in (2, 3) or p2.shape[-2:] != p1.shape or not p2.size:
         raise ValidationError(f"dimension mismatch: {p1.shape} vs {p2.shape}")

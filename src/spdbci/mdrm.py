@@ -118,13 +118,30 @@ class PreprocSpec:
 @dataclass(frozen=True)
 class ClassModel:
     """Trained class centers plus everything needed to reapply training
-    preprocessing: estimator spec, preprocessing spec, mean solver config."""
+    preprocessing: estimator spec, preprocessing spec, mean solver config.
+
+    The centers are kept as read-only copies, so the factors scoring uses
+    (:attr:`factors`) always belong to them.
+    """
 
     centers: tuple
     estimator_spec: EstimatorSpec
     preproc_spec: PreprocSpec
     mean_tolerance: float = manifold.DEFAULT_MEAN_TOLERANCE
     mean_max_iterations: int = manifold.DEFAULT_MEAN_MAX_ITERATIONS
+
+    def __post_init__(self):
+        centers = tuple(np.array(c, dtype=float) for c in self.centers)
+        for center in centers:
+            center.setflags(write=False)
+        object.__setattr__(self, "centers", centers)
+
+    @cached_property
+    def factors(self):
+        """The centers validated and factored once, on first use, as the
+        :class:`~spdbci.manifold.FactoredStack` every epoch is scored
+        against; a center that is not SPD raises ValidationError."""
+        return manifold.FactoredStack(self.centers, "centers")
 
     @property
     def class_count(self):
@@ -246,14 +263,21 @@ def classify_covariance(cov, model):
         raise ValidationError(
             f"covariance dim {cov.shape[0]} does not match model dim "
             f"{model.dim}")
-    return nearest_center(cov, model.centers)
+    return nearest_center(cov, model.factors)
 
 
 def nearest_center(cov, centers):
     """Label (1-based) of the center nearest ``cov`` in geodesic distance,
     and the distances to all centers, scored in one stacked pass. Exact
-    ties go to the lowest label."""
-    dists = manifold.distance(cov, np.asarray(centers))
+    ties go to the lowest label.
+
+    ``centers`` is a :class:`~spdbci.manifold.FactoredStack` (a model's
+    :attr:`ClassModel.factors`) or a sequence of SPD matrices, which is
+    factored first.
+    """
+    if not isinstance(centers, manifold.FactoredStack):
+        centers = manifold.FactoredStack(centers, "centers")
+    dists = manifold.distance(cov, centers)
     return int(np.argmin(dists)) + 1, dists
 
 
@@ -325,17 +349,20 @@ def load_model(path):
             f"model header declares {k} classes of dim {dim} over "
             f"{n_freqs} stimulus frequencies")
     centers = f64_array(payload, (k, dim, dim), "model payload")
-    if not np.isfinite(centers).all():
-        raise ManifestError("model payload holds non-finite values")
     try:
         estimator_spec = EstimatorSpec.from_dict(header["estimator_spec"])
         preproc_spec = PreprocSpec.from_dict(header["preproc_spec"])
     except ValidationError as exc:
         raise ManifestError(f"invalid model header: {exc}") from exc
-    return ClassModel(
+    model = ClassModel(
         centers=tuple(centers),
         estimator_spec=estimator_spec,
         preproc_spec=preproc_spec,
         mean_tolerance=header["mean_tolerance"],
         mean_max_iterations=header["mean_max_iterations"],
     )
+    try:
+        model.factors  # validated and factored here, once per model
+    except ValidationError as exc:
+        raise ManifestError(f"invalid model payload: {exc}") from exc
+    return model

@@ -21,7 +21,6 @@ from .mdrm import (
     POOLED_MEAN_MAX_ITERATIONS,
     POOLED_MEAN_TOLERANCE,
     PreprocSpec,
-    nearest_center,
     preprocess_trial,
 )
 
@@ -272,8 +271,8 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
         predictions = []
         scores = []
         for i in test_idx:
-            label, dists = nearest_center(covs[i], centers)
-            predictions.append(label)
+            dists = manifold.distance(covs[i], np.asarray(centers))
+            predictions.append(int(np.argmin(dists)) + 1)
             scores.append(scores_from_distances(dists))
         truth = [trial_set.labels[i] for i in test_idx]
         return predictions, np.array(scores), truth, stalled

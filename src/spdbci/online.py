@@ -1,9 +1,12 @@
 """Curve-based online classification over a live multichannel stream.
 
 The stream is band-pass stacked continuously (filter state persists
-across epochs) and cut into overlapping sliding-window epochs. Each
-epoch is classified against the trained class centers; the last ``d``
-epoch labels and normalized distance profiles feed two gates:
+across epochs) and cut into overlapping sliding-window epochs. Filtering
+runs in blocks on a grid that the epoch plan fixes, so every epoch end
+is a block boundary and the caller's frame sizes never change a bit of
+the output; raw samples past the last boundary wait for the next one.
+Each epoch is classified against the trained class centers; the last
+``d`` epoch labels and normalized distance profiles feed two gates:
 
 * occurrence: the most recurrent label among the last ``d`` epochs must
   hold a fraction strictly above ``theta``;
@@ -29,7 +32,7 @@ from .errors import ValidationError
 from .estimators import Trial, check_finite, estimate
 from .formats import write_csv
 from .mdrm import classify_covariance
-from .preprocessing import BandpassFilterBank, EpochPlan, epoch_ends
+from .preprocessing import BandpassFilterBank, EpochPlan
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,9 @@ class _WindowBuffer:
     Column ``j`` holds absolute sample ``start + j``. An append that would
     overflow first drops the samples before ``keep_from`` (the start of
     the next epoch, so less than a window is kept) and moves the rest to
-    the front; the array grows only when those plus the new chunk still
-    do not fit. With frames no longer than a window it stays at two
-    windows, and each move copies fewer samples than were appended since
-    the previous one.
+    the front. Chunks are filter blocks of at most one step, shorter than
+    a window, so two windows always suffice, and each move copies fewer
+    samples than were appended since the previous one.
     """
 
     def __init__(self, rows, window):
@@ -126,8 +128,6 @@ class _WindowBuffer:
         if self._len + m > self.capacity:
             drop = keep_from - self._start
             kept = self._data[:, drop:self._len]
-            if kept.shape[1] + m > self.capacity:
-                self._data = np.empty((self._data.shape[0], kept.shape[1] + m))
             self._data[:, :kept.shape[1]] = kept
             self._start += drop
             self._len = kept.shape[1]
@@ -207,12 +207,17 @@ class OnlineState:
                 f"{n_freqs} stimulus frequencies")
         self.channels = model.dim // n_freqs
         self.sample_rate = preproc.sample_rate
-        self._bank = BandpassFilterBank(
-            preproc.stim_freqs, self.channels, self.sample_rate,
-            preproc.half_bandwidth, preproc.filter_order, preproc.sos)
         plan = self.config.plan()
         self._w = plan.window_samples(self.sample_rate)
-        self._step = plan.step_samples(self.sample_rate)
+        first_block, self._step = plan.grid_blocks(self.sample_rate)
+        self._bank = BandpassFilterBank(
+            preproc.stim_freqs, self.channels, self.sample_rate,
+            preproc.half_bandwidth, preproc.filter_order, preproc.sos,
+            block_lengths={first_block, self._step})
+        self._next_block = first_block
+        # raw samples after the last block boundary
+        self._raw = np.empty((self.channels, 0))
+        self._filtered = 0
         self._buffer = _WindowBuffer(model.dim, self._w)
         self._gate = _Gate(self.config)
         self.epoch_index = 0
@@ -223,9 +228,12 @@ class OnlineState:
         """Ingest a (channels x m) chunk; returns decisions it triggered.
 
         Epochs are cut strictly by absolute sample index, at the
-        boundaries of :func:`~spdbci.preprocessing.epoch_ends`, so the
-        decision sequence does not depend on how the stream is chopped
-        into frames.
+        boundaries of :func:`~spdbci.preprocessing.epoch_ends`, and the
+        filter runs in blocks of the plan's grid (see
+        :meth:`~spdbci.preprocessing.EpochPlan.grid_blocks`), so neither
+        the decisions nor any bit of the epoch log depends on how the
+        stream is chopped into frames. An epoch is scored as soon as its
+        last sample arrives.
         """
         frame = np.asarray(frame, dtype=float)
         if frame.ndim == 1:
@@ -235,17 +243,26 @@ class OnlineState:
                 f"frame has {frame.shape[0]} channels, stream expects "
                 f"{self.channels}")
         check_finite(frame, "frame")
-        # keep from the first sample of the next epoch to close
-        self._buffer.append(self._bank.process(frame),
-                            self.epoch_index * self._step)
         self.samples_seen += frame.shape[1]
+        raw = np.hstack([self._raw, frame])
         decisions = []
-        ends = epoch_ends(self.samples_seen, self._w, self._step)
-        for end in ends[self.epoch_index:]:
-            row, decision = self._gate.step(self._score_epoch(end))
-            self.epoch_log.append(row)
-            if decision is not None:
-                decisions.append(decision)
+        pos = 0
+        while raw.shape[1] - pos >= self._next_block:
+            block = raw[:, pos:pos + self._next_block]
+            pos += self._next_block
+            self._filtered += self._next_block
+            self._next_block = self._step
+            # keep from the first sample of the next epoch to close
+            self._buffer.append(self._bank.process(block),
+                                self.epoch_index * self._step)
+            # from the first window on, every block boundary ends an epoch
+            if self._filtered >= self._w:
+                row, decision = self._gate.step(
+                    self._score_epoch(self._filtered))
+                self.epoch_log.append(row)
+                if decision is not None:
+                    decisions.append(decision)
+        self._raw = raw[:, pos:]
         return decisions
 
     def _score_epoch(self, end):

@@ -73,7 +73,21 @@ class EpochPlan:
         return int(np.floor(self.window_seconds * sample_rate))
 
     def step_samples(self, sample_rate):
-        return int(np.floor(self.step_seconds * sample_rate))
+        d_s = int(np.floor(self.step_seconds * sample_rate))
+        if d_s < 1:
+            raise ValidationError(
+                f"a step of {self.step_seconds} s is shorter than one "
+                f"sample at {sample_rate} Hz")
+        return d_s
+
+    def grid_blocks(self, sample_rate):
+        """``(first, later)`` block lengths of the grid whose boundaries
+        ``w_s - k d_s`` include every epoch end: the first block holds
+        ``w_s mod d_s`` samples (``d_s`` when that is 0), each later one
+        ``d_s``."""
+        w_s = self.window_samples(sample_rate)
+        d_s = self.step_samples(sample_rate)
+        return w_s % d_s or d_s, d_s
 
 
 def design_bandpass(spec):
@@ -108,6 +122,39 @@ def design_bands(stim_freqs, half_bandwidth, order, sample_rate):
                  for f in stim_freqs)
 
 
+def block_map(sos, length):
+    """The linear map of a section cascade over one block of ``length``
+    samples, as :func:`scipy.signal.sosfilt` runs it.
+
+    Per channel, ``[state, input] @ M`` is ``[output, new state]``: the
+    state is the channel's ``zi[:, channel, :]`` of sosfilt (2 values per
+    section) flattened in C order, and input and output are ``length``
+    samples (block state-space filtering; Burrus, IEEE Trans. Audio
+    Electroacoust. 1972). M is read off sosfilt's own responses to the
+    unit states and unit inputs, filtered in one batched call, so it
+    keeps sosfilt's state convention.
+    """
+    from scipy.signal import sosfilt
+
+    sections = sos.shape[0]
+    n = 2 * sections
+    units = np.eye(n + length)
+    zi = units[:, :n].reshape(n + length, sections, 2).transpose(1, 0, 2)
+    out, zf = sosfilt(sos, units[:, n:], axis=1, zi=zi)
+    return np.hstack([out, zf.transpose(1, 0, 2).reshape(n + length, n)])
+
+
+def _block_step(matrix, frame, zi):
+    """Filter a (channels x L) block through the :func:`block_map` of its
+    length from the sosfilt state ``zi``; returns the output and new zi."""
+    sections, channels, _ = zi.shape
+    state = zi.transpose(1, 0, 2).reshape(channels, 2 * sections)
+    y = np.hstack([state, frame]) @ matrix
+    length = frame.shape[1]
+    return (y[:, :length],
+            y[:, length:].reshape(channels, sections, 2).transpose(1, 0, 2))
+
+
 class BandpassFilterBank:
     """Causal filter bank over a set of stimulus frequencies.
 
@@ -119,11 +166,17 @@ class BandpassFilterBank:
     ``sos`` takes sections already designed for these frequencies (one
     array per frequency, as :func:`design_bands` returns them); the bank
     filters with its own copies. Without it the bank designs its own.
+
+    A frame whose length is one of ``block_lengths`` is filtered by that
+    length's precomputed :func:`block_map` (one matrix product per band)
+    instead of ``sosfilt``; the two agree to roundoff and share the
+    state, so they may alternate. Filtering a stream in blocks of fixed
+    lengths gives the same bits however the caller chops the stream.
     """
 
     def __init__(self, stim_freqs, channels, sample_rate,
                  half_bandwidth=DEFAULT_HALF_BANDWIDTH,
-                 order=DEFAULT_FILTER_ORDER, sos=None):
+                 order=DEFAULT_FILTER_ORDER, sos=None, block_lengths=()):
         if len(stim_freqs) < 1:
             raise ValidationError("at least one stimulus frequency is required")
         self.stim_freqs = tuple(float(f) for f in stim_freqs)
@@ -143,6 +196,8 @@ class BandpassFilterBank:
         self._sosfilt = sosfilt
         self._state = [np.zeros((s.shape[0], self.channels, 2))
                        for s in self.sos]
+        self._maps = {length: [block_map(s, length) for s in self.sos]
+                      for length in map(int, block_lengths)}
 
     def process(self, frame):
         """Filter a (channels x m) chunk; returns the (F*C x m) stacked output."""
@@ -150,10 +205,15 @@ class BandpassFilterBank:
         if frame.ndim != 2 or frame.shape[0] != self.channels:
             raise ValidationError(
                 f"frame must have {self.channels} rows, got shape {frame.shape}")
+        maps = self._maps.get(frame.shape[1])
         blocks = []
         for band, sos in enumerate(self.sos):
-            out, self._state[band] = self._sosfilt(
-                sos, frame, axis=1, zi=self._state[band])
+            if maps is None:
+                out, self._state[band] = self._sosfilt(
+                    sos, frame, axis=1, zi=self._state[band])
+            else:
+                out, self._state[band] = _block_step(
+                    maps[band], frame, self._state[band])
             blocks.append(out)
         return np.vstack(blocks)
 

@@ -299,6 +299,28 @@ def test_non_finite_model_payload_is_format_error(tmp_path, trained_once):
                "--out", tmp_path / "e") == 4
 
 
+@pytest.mark.parametrize("defect", ["off_diagonal", "negated"])
+def test_non_spd_model_center_is_format_error(tmp_path, trained_once,
+                                              defect):
+    # one off-diagonal entry raised by 1.0 (asymmetric), or the whole
+    # first center negated (not positive definite): finite, but no SPD
+    # matrix
+    data, model = trained_once
+    header, payload = model.read_bytes().split(b"\n", 1)
+    dim = json.loads(header)["dim"]
+    first = list(struct.unpack(f"<{dim * dim}d", payload[:8 * dim * dim]))
+    if defect == "off_diagonal":
+        first[1] += 1.0
+    else:
+        first = [-v for v in first]
+    broken = tmp_path / "broken.mdrm"
+    broken.write_bytes(header + b"\n" + struct.pack(f"<{dim * dim}d", *first)
+                       + payload[8 * dim * dim:])
+    assert run("eval", "--data", data, "--model", broken,
+               "--out", tmp_path / "e") == 4
+    assert not (tmp_path / "e").exists()
+
+
 def test_train_on_manifest_without_meta(tmp_path):
     data = gen_small(tmp_path)
     manifest_path = data / "manifest.json"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from spdbci import manifold
+from spdbci import manifold, mdrm
 from spdbci.errors import ConvergenceError, ValidationError
 
 from conftest import random_spd, random_sym
@@ -267,6 +269,100 @@ def test_distance_rejects_asymmetric_stack_member():
         manifold.distance(np.eye(3), stack)
     stack[2] = (stack[2] + stack[2].T) / 2.0
     assert manifold.distance(np.eye(3), stack).shape == (4,)
+
+
+# ---------------------------------------------------------------------------
+# distance to factored references
+# ---------------------------------------------------------------------------
+
+def _conditioned_spd(rng, dim, log10_cond):
+    """Random SPD matrix whose eigenvalues span exactly 10**log10_cond,
+    at a random scale between 1e-3 and 1e3."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    exps = np.concatenate([[0.0, log10_cond],
+                           rng.uniform(0.0, log10_cond, dim - 2)])
+    return (q * 10.0 ** (exps + rng.uniform(-3.0, 3.0))) @ q.T
+
+
+# (seed, dim, K, log10 of each matrix's condition number); a pair of
+# matrices conditioned up to 1e3 each has generalized eigenvalues
+# spanning up to 1e6
+_spd_sets = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(2, 12),
+                      st.integers(1, 5), st.floats(0.0, 3.0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(case=_spd_sets)
+def test_factored_distances_match_plain_stack(case):
+    seed, dim, k, log10_cond = case
+    rng = np.random.default_rng(seed)
+    p = _conditioned_spd(rng, dim, log10_cond)
+    stack = np.array([_conditioned_spd(rng, dim, log10_cond)
+                      for _ in range(k)])
+    plain = manifold.distance(p, stack)
+    label, factored = mdrm.nearest_center(p, stack)
+    assert_allclose(factored, plain, rtol=1e-10, atol=0)
+    assert_allclose(manifold.distance(p, manifold.FactoredStack(stack)),
+                    factored, rtol=0, atol=0)
+    nearest = np.sort(plain)
+    if k == 1 or nearest[1] - nearest[0] > 1e-9 * nearest[1]:
+        assert label == int(np.argmin(plain)) + 1
+
+
+def _non_pd(p):
+    """``p`` with its smallest eigenvalue replaced by minus half its largest."""
+    w, u = np.linalg.eigh(p)
+    w[0] = -0.5 * w[-1]
+    return (u * w) @ u.T
+
+
+def _asymmetric(p):
+    p = p.copy()
+    p[0, -1] += 1e-6 * np.abs(p).max()
+    return p
+
+
+def _with_nan(p):
+    p = p.copy()
+    p[-1, 0] = np.nan
+    return p
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=_spd_sets,
+       spoil=st.sampled_from([_non_pd, _asymmetric, _with_nan]))
+def test_factored_distance_rejects_bad_point_by_name(case, spoil):
+    seed, dim, k, log10_cond = case
+    rng = np.random.default_rng(seed)
+    factors = manifold.FactoredStack(
+        [_conditioned_spd(rng, dim, log10_cond) for _ in range(k)])
+    bad = spoil(_conditioned_spd(rng, dim, log10_cond))
+    # ValidationError, never a LinAlgError from inside the kernel
+    with pytest.raises(ValidationError, match=r"^p1 "):
+        manifold.distance(bad, factors)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(case=_spd_sets, at=st.integers(0, 4),
+       spoil=st.sampled_from([_non_pd, _asymmetric, _with_nan,
+                              lambda p: np.zeros_like(p)]))
+def test_factors_reject_bad_reference_by_name(case, at, spoil):
+    seed, dim, k, log10_cond = case
+    rng = np.random.default_rng(seed)
+    refs = [_conditioned_spd(rng, dim, log10_cond) for _ in range(k)]
+    at %= k
+    refs[at] = spoil(refs[at])
+    with pytest.raises(ValidationError, match=rf"^centers\[{at}\] "):
+        manifold.FactoredStack(refs, "centers")
+
+
+def test_factored_distance_dimension_mismatch():
+    factors = manifold.FactoredStack([np.eye(3), 2.0 * np.eye(3)])
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        manifold.distance(np.eye(4), factors)
+    for bad in (np.eye(3), np.zeros((0, 3, 3)), np.ones((2, 3, 2))):
+        with pytest.raises(ValidationError):
+            manifold.FactoredStack(bad)
 
 
 # ---------------------------------------------------------------------------

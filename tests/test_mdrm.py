@@ -311,6 +311,52 @@ def test_model_save_load_bit_exact(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_centers_are_read_only_copies(tmp_path):
+    ts, cfg = small_set(trials_per_class=1)
+    model, _ = mdrm.train(ts, EstimatorSpec(), preproc_for(cfg))
+    given = [c.copy() for c in model.centers]
+    rebuilt = ClassModel(tuple(given), model.estimator_spec,
+                         model.preproc_spec)
+    given[0][0, 0] += 1.0  # the caller's array, not the model's copy
+    assert np.array_equal(rebuilt.centers[0], model.centers[0])
+    factors = model.factors
+    with pytest.raises(ValueError, match="read-only"):
+        model.centers[0][0, 1] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.centers[0][:] = np.eye(model.dim)
+    assert model.factors is factors
+    # read-only centers still round-trip bit for bit
+    path = mdrm.save_model(model, tmp_path / "model.mdrm")
+    back = mdrm.load_model(path)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(model.centers, back.centers))
+    assert not back.centers[0].flags.writeable
+    mdrm.save_model(back, tmp_path / "again.mdrm")
+    assert (tmp_path / "again.mdrm").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("defect", ["asymmetric", "negated", "nan"])
+def test_load_rejects_non_spd_centers(tmp_path, defect):
+    from spdbci.errors import ManifestError
+
+    ts, cfg = small_set(trials_per_class=1)
+    model, _ = mdrm.train(ts, EstimatorSpec(), preproc_for(cfg))
+    centers = [c.copy() for c in model.centers]
+    if defect == "asymmetric":
+        centers[1][0, 1] += 1.0
+    elif defect == "negated":
+        centers[1] = -centers[1]
+    else:
+        centers[1][2, 2] = np.nan
+    broken = ClassModel(tuple(centers), model.estimator_spec,
+                        model.preproc_spec)
+    path = mdrm.save_model(broken, tmp_path / "broken.mdrm")
+    with pytest.raises(ManifestError, match=r"centers\[1\]"):
+        mdrm.load_model(path)
+    with pytest.raises(ValidationError, match=r"centers\[1\]"):
+        mdrm.classify_covariance(model.centers[0], broken)
+
+
 def test_model_load_errors(tmp_path):
     from spdbci.errors import ManifestError, ShapeMismatchError, \
         UnsupportedVersionError

@@ -305,6 +305,69 @@ def test_random_chunkings_give_identical_decisions(trained, pushed_whole,
     assert state.epoch_log == epoch_log
 
 
+# the default plan (a 3-sample first filter block, then 51) and one whose
+# window is a whole number of steps (1024 = 16 * 64 at 256 Hz), so the
+# first block is a full step
+GRID_CONFIGS = {"3.6/0.2": OnlineConfig(),
+                "4.0/0.25": OnlineConfig(window_seconds=4.0,
+                                         step_seconds=0.25)}
+
+
+@pytest.fixture(scope="module", params=sorted(GRID_CONFIGS))
+def pushed_whole_per_plan(request, trained):
+    """Per plan: the config, three test trials as one stream, and the
+    decisions and epoch log of that stream pushed as one frame."""
+    model, test = trained
+    config = GRID_CONFIGS[request.param]
+    stream = np.hstack([t.values for t in test.trials[:3]])
+    state = OnlineState(model, config)
+    return config, stream, state.push_samples(stream), state.epoch_log
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(sizes=st.lists(st.one_of(st.just(1), st.integers(1, 60),
+                                st.integers(103, 700)),
+                      min_size=1, max_size=20))
+def test_epoch_log_bit_identical_over_chunkings_on_each_grid(
+        trained, pushed_whole_per_plan, sizes):
+    # frames of one sample, frames shorter than a block and frames longer
+    # than two blocks all filter on the same grid
+    model, _ = trained
+    config, stream, decisions, epoch_log = pushed_whole_per_plan
+    state = OnlineState(model, config)
+    chunked = []
+    for frame in frames_of(stream, sizes):
+        chunked.extend(state.push_samples(frame))
+    assert chunked == decisions
+    assert state.epoch_log == epoch_log
+
+
+def test_one_sample_frames_bit_identical_on_each_grid(
+        trained, pushed_whole_per_plan):
+    model, _ = trained
+    config, stream, decisions, epoch_log = pushed_whole_per_plan
+    state = OnlineState(model, config)
+    single = []
+    for i in range(stream.shape[1]):
+        single.extend(state.push_samples(stream[:, i]))
+    assert single == decisions and state.epoch_log == epoch_log
+    assert epoch_log, "expected epochs on three trials"
+
+
+def test_trailing_samples_wait_for_the_next_block(trained):
+    # at most d_s - 1 raw samples wait, and never an epoch's last one
+    model, test = trained
+    plan = OnlineConfig().plan()
+    w = plan.window_samples(test.sample_rate)
+    first, step = plan.grid_blocks(test.sample_rate)
+    for end in (w - 1, w, w + 1, w + step - 1, w + step):
+        state = OnlineState(model)
+        state.push_samples(test.trials[0].values[:, :end])
+        closed = [row["end_sample"] for row in state.epoch_log]
+        assert closed == list(range(w, end + 1, step))
+        assert state._raw.shape[1] == (end - first) % step
+
+
 def test_buffer_bounded_and_frame_size_invariant(trained):
     # 48 s of stream: the two-window buffer is compacted many times over.
     model, test = trained

@@ -55,3 +55,31 @@ def test_fields_the_benchmark_reads():
     assert state.epoch_index > 0 and state.epoch_log
     for entry in state.epoch_log:
         assert {"end_sample", "label", "candidate", "decided"} <= set(entry)
+
+
+def test_live_stream_calls_the_spans_the_benchmark_predicts(monkeypatch):
+    # a tiny stream through one OnlineState, with perfbench's wrappers
+    # installed after construction as its live_stream job installs them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    trial_set = synthgen.generate(synthgen.GenConfig(trials_per_class=3))
+    model, _ = mdrm.train(trial_set)
+    state = online.OnlineState(model)
+    stream = np.hstack([t.values for t in trial_set.trials[:3]])
+    recorder = spans.SpanRecorder()
+    with spans.instrumented(recorder):
+        for start in range(0, stream.shape[1], workloads.FRAME_SAMPLES):
+            state.push_samples(
+                stream[:, start:start + workloads.FRAME_SAMPLES])
+    calls = spans.summarize(recorder.spans)["calls"]
+    assert state.epoch_index > 0
+    called = ("preprocessing.filter", "estimators.estimate",
+              "mdrm.classify_covariance", "manifold.distance")
+    for name in called + workloads.LiveStream.predicted_spans:
+        assert calls[name] > 0, name
+    for name in ("preprocessing.design", "manifold.karcher") \
+            + workloads.LiveStream.predicted_absent:
+        assert calls[name] == 0, name
+    assert calls["manifold.distance"] == state.epoch_index

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,6 +153,67 @@ def test_random_chunkings_filter_bit_identically(sizes):
     assert np.array_equal(out, whole)
 
 
+def _block_filtered(bank, values, lengths):
+    """Feed ``values`` to ``bank`` in frames cycling through ``lengths``,
+    up to the last whole frame; returns the output and the sample count."""
+    out, pos = [], 0
+    for length in itertools.cycle(lengths):
+        if pos + length > values.shape[1]:
+            return np.hstack(out), pos
+        out.append(bank.process(values[:, pos:pos + length]))
+        pos += length
+
+
+def _assert_block_path_matches_sosfilt(order, fs, lengths, seconds=600.0):
+    """Block maps against one-piece sosfilt over ``seconds`` of noise:
+    outputs within 1e-13 of each row's peak, final states within 1e-13
+    of each band's largest state entry."""
+    values = np.random.default_rng(5).standard_normal((2, int(seconds * fs)))
+    bank = pp.BandpassFilterBank((13.0, 21.0), 2, fs, order=order,
+                                 block_lengths=lengths)
+    out, used = _block_filtered(bank, values, lengths)
+    ref = pp.BandpassFilterBank((13.0, 21.0), 2, fs, order=order)
+    whole = ref.process(values[:, :used])
+    peak = np.abs(whole).max(axis=1, keepdims=True)
+    assert np.all(np.abs(out - whole) <= 1e-13 * peak)
+    for zi, zi_ref in zip(bank._state, ref._state):
+        assert np.abs(zi - zi_ref).max() <= 1e-13 * np.abs(zi_ref).max()
+
+
+@pytest.mark.parametrize("fs", [256.0, 512.0])
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_block_maps_match_one_piece_sosfilt(order, fs):
+    # 10 min in frames cycling through every block length, so each map
+    # hands its state on to each other one
+    _assert_block_path_matches_sosfilt(order, fs, (1, 3, 51, 128))
+
+
+@pytest.mark.parametrize("length", [1, 3, 51, 128])
+def test_each_block_map_alone_matches_one_piece_sosfilt(length):
+    _assert_block_path_matches_sosfilt(8, FS, (length,))
+
+
+def test_block_maps_share_state_with_sosfilt_frames():
+    # frames of other lengths go through sosfilt from the same state
+    values = np.random.default_rng(6).standard_normal((4, 3000))
+    bank = pp.BandpassFilterBank([13.0, 17.0, 21.0], 4, FS,
+                                 block_lengths=(51,))
+    out, used = _block_filtered(bank, values, (51, 32, 51, 7))
+    whole = pp.BandpassFilterBank([13.0, 17.0, 21.0], 4, FS).process(
+        values[:, :used])
+    assert_allclose(out, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
+
+
+def test_block_map_is_sosfilt_on_unit_inputs():
+    # the map's input columns are the impulse response and its shifts
+    sos = pp.design_bandpass(pp.FilterSpec(17.0, 1.0, 8, FS))
+    m_map = pp.block_map(sos, 5)
+    assert m_map.shape == (8 + 5, 5 + 8)
+    impulse = signal.sosfilt(sos, np.eye(1, 5)[0])
+    assert_allclose(m_map[8, :5], impulse, rtol=0, atol=0)
+    assert_allclose(m_map[9, 1:5], impulse[:4], rtol=0, atol=0)
+
+
 def test_filter_bank_frame_validation():
     bank = pp.BandpassFilterBank([13.0], 4, FS)
     with pytest.raises(ValidationError):
@@ -191,6 +254,14 @@ def test_epoch_plan_validation():
         pp.EpochPlan(1.0, -0.1)
 
 
+def test_step_shorter_than_a_sample_rejected():
+    plan = pp.EpochPlan(1.0, 0.001)
+    with pytest.raises(ValidationError, match="shorter than one sample"):
+        pp.epoch_stream(Trial(np.zeros((2, 600)), FS), plan)
+    with pytest.raises(ValidationError, match="shorter than one sample"):
+        plan.grid_blocks(FS)
+
+
 def test_epoch_count_arithmetic():
     # floor((2560 - 921) / 51) + 1 = 33
     recording = Trial(np.zeros((2, 2560)), FS)
@@ -220,6 +291,20 @@ def test_epoching_lossless_tails():
     tails = np.hstack([e.values[:, -step:] for e in epochs[1:]])
     expected = recording.values[:, w:w + step * (len(epochs) - 1)]
     assert_allclose(tails, expected, atol=0)
+
+
+@pytest.mark.parametrize("window, step, first", [
+    (3.6, 0.2, 3),     # 921 = 18 * 51 + 3
+    (4.0, 0.25, 64),   # 1024 = 16 * 64: the grid starts with a full step
+    (1.5, 0.25, 64),   # 384 = 6 * 64
+    (1.0, 0.3, 28),    # 256 = 3 * 76 + 28
+])
+def test_grid_blocks_end_on_every_epoch_end(window, step, first):
+    plan = pp.EpochPlan(window, step)
+    w_s, d_s = plan.window_samples(FS), plan.step_samples(FS)
+    assert plan.grid_blocks(FS) == (first, d_s)
+    boundaries = set(range(first, 20 * w_s + 1, d_s))
+    assert set(pp.epoch_ends(20 * w_s, w_s, d_s)) <= boundaries
 
 
 def test_short_recording_yields_no_epochs():
