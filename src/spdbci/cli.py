@@ -173,6 +173,10 @@ def cmd_eval(args):
     model = mdrm.load_model(args.model)
     config = OnlineConfig(window_seconds=args.window, step_seconds=args.step,
                           depth=args.depth, theta=args.theta)
+    # what the stream replay would refuse, refused before --out exists
+    config.plan().grid_blocks(model.preproc_spec.sample_rate)
+    for trial in trial_set.trials:
+        model.preproc_spec.check_sample_rate(trial.sample_rate)
     out = _prepare_out(args.out, args.force)
 
     offline = [mdrm.classify(t, model)[0] for t in trial_set.trials]

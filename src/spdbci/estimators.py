@@ -5,6 +5,10 @@ per-sample normalized variant (NSCM), shrinkage toward a structured
 target, and the maximum-likelihood fixed-point estimator. A trial is a
 C x N array (channels x samples); every estimator centers it with the
 sample mean over time before forming second moments.
+
+The SCM and the shrinkage estimators depend on a trial only through its
+moment sums up to the fourth order, so they also accept the summed
+:class:`Moments` of a window's blocks (see :data:`MOMENT_KINDS`).
 """
 
 import warnings
@@ -18,8 +22,14 @@ from .errors import ConvergenceError, NumericalError, ValidationError
 # trial's mean sample energy has no usable direction for the NSCM.
 DEGENERATE_SAMPLE_RTOL = 1e-12
 RANK_DEFICIENCY_RTOL = 1e-10
+# the largest analytic shrinkage intensity, just below 1
+KAPPA_MAX = float(np.nextafter(1.0, 0.0))
 
 SHRINKAGE_TARGETS = ("ledoit", "blankertz", "schafer")
+# Estimator kinds that are functions of a window's Moments. NSCM and the
+# fixed point weight each sample by its distance from the window mean,
+# which no sum over blocks taken before that mean is known can give.
+MOMENT_KINDS = ("scm", "shrinkage")
 
 
 class RankDeficientCovarianceWarning(UserWarning):
@@ -68,6 +78,41 @@ class Trial:
     @property
     def duration(self):
         return self.samples / self.sample_rate
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Sums over a window of samples of ``z z^T``, with ``z = [1; x; x*x]``.
+
+    ``sums`` is one (2C+1) x (2C+1) matrix. Its first row holds the
+    sample count and the sums of ``x`` and ``x*x``; the rest holds the
+    product sums of ``x`` up to the fourth order. The sums of disjoint
+    windows add, so the moments of a sliding window are those of the
+    blocks it spans.
+    """
+
+    sums: np.ndarray
+
+    @classmethod
+    def of(cls, values):
+        """The moments of a (channels x samples) array, in one product."""
+        c, n = values.shape
+        z = np.empty((2 * c + 1, n))
+        z[0] = 1.0
+        z[1:c + 1] = values
+        np.multiply(values, values, out=z[c + 1:])
+        return cls(z @ z.T)
+
+    def __add__(self, other):
+        return Moments(self.sums + other.sums)
+
+    @property
+    def channels(self):
+        return (self.sums.shape[0] - 1) // 2
+
+    @property
+    def samples(self):
+        return int(self.sums[0, 0])
 
 
 @dataclass(frozen=True)
@@ -131,24 +176,59 @@ def spec_from_name(name, kappa=EstimatorSpec.kappa,
     raise ValidationError(f"unknown estimator name {name!r}")
 
 
-def _centered(trial):
-    x = trial.values
-    if trial.samples < 2:
+def _check_samples(data):
+    if data.samples < 2:
         raise ValidationError("covariance estimation needs at least 2 samples")
+
+
+def _centered(trial):
+    if isinstance(trial, Moments):
+        raise ValidationError(
+            "this estimator weights each sample by its distance from the "
+            "window mean, so it needs the samples, not their Moments")
+    _check_samples(trial)
+    x = trial.values
     return x - x.mean(axis=1, keepdims=True)
 
 
+def _centered_sums(data, fourth):
+    """``(n, gram, sqsq)`` of a :class:`Trial` or :class:`Moments` about
+    its mean ``m``: ``gram = sum (x-m)(x-m)^T`` and, when ``fourth`` is
+    true (else None), ``sqsq = sum (x-m)^2 (x-m)^2^T``.
+
+    From moments both are congruences of the sums: ``x - m = B z`` with
+    ``B = [-m | I | 0]`` and ``(x-m)^2 = A z`` with
+    ``A = [m^2 | -2 diag(m) | I]``.
+    """
+    if not isinstance(data, Moments):
+        xc = _centered(data)
+        sq = xc * xc if fourth else None
+        return data.samples, xc @ xc.T, None if sq is None else sq @ sq.T
+    _check_samples(data)
+    n, c, sums = data.samples, data.channels, data.sums
+    m = sums[0, 1:c + 1] / n
+    x, sq = slice(1, c + 1), slice(c + 1, None)
+    # the congruences one block row and column at a time
+    bm = sums[x] - m[:, None] * sums[0]
+    gram = bm[:, x] - bm[:, :1] * m
+    if not fourth:
+        return n, gram, None
+    mm = m * m
+    am = sums[sq] - 2.0 * m[:, None] * sums[x] + mm[:, None] * sums[0]
+    return n, gram, am[:, sq] - 2.0 * am[:, x] * m + am[:, :1] * mm
+
+
 def scm(trial):
-    """Empirical sample covariance matrix, 1/(N-1) normalization.
+    """Empirical sample covariance matrix, 1/(N-1) normalization, of a
+    :class:`Trial` or the :class:`Moments` of one.
 
     Always symmetric and positive semidefinite; strictly positive definite
     only when there are more (non-degenerate) samples than channels. A
     numerically rank-deficient result triggers
     :class:`RankDeficientCovarianceWarning` instead of silent repair.
     """
-    xc = _centered(trial)
-    n = trial.samples
-    cov = (xc @ xc.T) / (n - 1)
+    n, gram, _ = _centered_sums(trial, fourth=False)
+    cov = gram / (n - 1)
     cov = (cov + cov.T) / 2.0
     w = np.linalg.eigvalsh(cov)
     if w[-1] <= 0.0 or w[0] < RANK_DEFICIENCY_RTOL * w[-1]:
@@ -206,9 +286,9 @@ def shrinkage_target(cov, target,
     raise ValidationError(f"unknown shrinkage target {target!r}")
 
 
-def _kappa(xc, gram, target, blankertz_scale):
+def _kappa(n, gram, sqsq, target, blankertz_scale):
     """Analytic shrinkage intensity for the chosen target, clipped to [0, 1),
-    from the centered trial ``xc`` and its Gram matrix.
+    from the centered sums ``(n, gram, sqsq)`` of :func:`_centered_sums`.
 
     Ratio of the summed sampling variance of the shrunk SCM entries to
     their squared distance from the target. Entries the target leaves
@@ -220,10 +300,8 @@ def _kappa(xc, gram, target, blankertz_scale):
     and ``wbar`` its time average,
     ``Var(scm_ij) ~= n/(n-1)^3 * sum_n (w_nij - wbar_ij)^2``.
     """
-    n = xc.shape[1]
     wbar = gram / n
-    sq = xc * xc
-    var = (n / (n - 1.0) ** 3) * (sq @ sq.T - n * wbar * wbar)
+    var = (n / (n - 1.0) ** 3) * (sqsq - n * wbar * wbar)
     cov = wbar * (n / (n - 1.0))
     cov = (cov + cov.T) / 2.0
     tgt = shrinkage_target(cov, target, blankertz_scale)
@@ -237,12 +315,14 @@ def _kappa(xc, gram, target, blankertz_scale):
         den = float(np.sum(diff ** 2))
     if den <= 0.0:
         return 0.0
-    return float(np.clip(num / den, 0.0, np.nextafter(1.0, 0.0)))
+    # Python min/max: np.clip on a scalar costs microseconds per epoch
+    return min(max(num / den, 0.0), KAPPA_MAX)
 
 
 def shrinkage_with_kappa(trial, spec):
     """Convex combination of the SCM with a structured target, and the
-    weight used: ``(kappa * target + (1 - kappa) * scm, kappa)``.
+    weight used: ``(kappa * target + (1 - kappa) * scm, kappa)``, for a
+    :class:`Trial` or the :class:`Moments` of one.
 
     An explicit ``spec.kappa`` is used as-is; with ``kappa=None`` the
     analytic intensity (:func:`_kappa`) is applied. The SCM and the
@@ -250,14 +330,13 @@ def shrinkage_with_kappa(trial, spec):
     """
     if spec.kind != "shrinkage":
         raise ValidationError("spec.kind must be 'shrinkage'")
-    xc = _centered(trial)
-    gram = xc @ xc.T
-    cov = gram / (trial.samples - 1)
+    n, gram, sqsq = _centered_sums(trial, fourth=spec.kappa is None)
+    cov = gram / (n - 1)
     cov = (cov + cov.T) / 2.0
     tgt = shrinkage_target(cov, spec.target, spec.blankertz_scale)
     kappa = spec.kappa
     if kappa is None:
-        kappa = _kappa(xc, gram, spec.target, spec.blankertz_scale)
+        kappa = _kappa(n, gram, sqsq, spec.target, spec.blankertz_scale)
     shrunk = kappa * tgt + (1.0 - kappa) * cov
     return (shrunk + shrunk.T) / 2.0, kappa
 
@@ -306,7 +385,11 @@ def fixed_point(trial, spec):
 
 
 def estimate(trial, spec):
-    """Dispatch a trial to the estimator described by ``spec``."""
+    """Dispatch a trial to the estimator described by ``spec``.
+
+    ``trial`` is a :class:`Trial`, or the :class:`Moments` of one when
+    ``spec.kind`` is in :data:`MOMENT_KINDS`.
+    """
     if spec.kind == "scm":
         return scm(trial)
     if spec.kind == "nscm":

@@ -5,6 +5,10 @@ across epochs) and cut into overlapping sliding-window epochs. Filtering
 runs in blocks on a grid that the epoch plan fixes, so every epoch end
 is a block boundary and the caller's frame sizes never change a bit of
 the output; raw samples past the last boundary wait for the next one.
+For the SCM and shrinkage estimators, the moment sums of each filtered
+block are taken once and an epoch's estimate is built from the sums of
+the blocks its window spans; the NSCM and the fixed point, which weight
+each sample by its distance from the window mean, read the window again.
 Each epoch is classified against the trained class centers; the last
 ``d`` epoch labels and normalized distance profiles feed two gates:
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .estimators import Trial, check_finite, estimate
+from .estimators import MOMENT_KINDS, Moments, Trial, check_finite, estimate
 from .formats import write_csv
 from .mdrm import classify_covariance
 from .preprocessing import BandpassFilterBank, EpochPlan
@@ -106,36 +110,74 @@ def curve_criterion(deltas, candidate):
 class _WindowBuffer:
     """Filtered samples from the first one a later epoch still needs.
 
-    Column ``j`` holds absolute sample ``start + j``. An append that would
-    overflow first drops the samples before ``keep_from`` (the start of
-    the next epoch, so less than a window is kept) and moves the rest to
-    the front. Chunks are filter blocks of at most one step, shorter than
-    a window, so two windows always suffice, and each move copies fewer
+    The first ``len`` columns hold the latest samples in order. An append
+    that would overflow first drops the samples before the start of the
+    window that ends with the appended chunk and moves the rest to the
+    front. Chunks are filter blocks of at most one step, shorter than a
+    window, so two windows always suffice, and each move copies fewer
     samples than were appended since the previous one.
     """
 
-    def __init__(self, rows, window):
+    def __init__(self, rows, window, sample_rate):
         self._data = np.empty((rows, 2 * window))
-        self._start = 0
+        self._window = window
+        self._sample_rate = sample_rate
         self._len = 0
 
     @property
     def capacity(self):
         return self._data.shape[1]
 
-    def append(self, chunk, keep_from):
+    def append(self, chunk):
         m = chunk.shape[1]
         if self._len + m > self.capacity:
-            drop = keep_from - self._start
+            drop = self._len + m - self._window
             kept = self._data[:, drop:self._len]
             self._data[:, :kept.shape[1]] = kept
-            self._start += drop
             self._len = kept.shape[1]
         self._data[:, self._len:self._len + m] = chunk
         self._len += m
 
-    def window(self, start, end):
-        return self._data[:, start - self._start:end - self._start]
+    def last_window(self):
+        """The window that ends with the last appended sample, as a Trial."""
+        return Trial(self._data[:, self._len - self._window:self._len],
+                     self._sample_rate)
+
+
+class _MomentRing:
+    """Block :class:`~spdbci.estimators.Moments` of the last window.
+
+    A window of ``w = q d + r`` samples that ends on the grid spans the
+    last ``q`` blocks of ``d`` samples and the last ``r`` samples of the
+    block before them. The ring keeps the moment sums of the last ``q``
+    blocks and of each one's last ``r`` samples, and adds the window's
+    sums up again from them at every epoch, so no rounding error carries
+    over from one epoch to the next. Its memory is fixed: ``capacity``
+    is the window's sample count, whatever the blocks' sizes.
+    """
+
+    def __init__(self, rows, window, step):
+        self.capacity = window
+        self._q, self._r = divmod(window, step)
+        size = 2 * rows + 1
+        self._blocks = np.zeros((self._q, size, size))
+        self._tails = np.zeros((self._q, size, size))
+        self._head = np.zeros((size, size))
+        self._slot = 0
+
+    def append(self, block):
+        slot = self._slot
+        # the last r samples of the block leaving the ring open the window
+        self._head[...] = self._tails[slot]
+        split = block.shape[1] - self._r
+        tail = Moments.of(block[:, split:]).sums
+        self._tails[slot] = tail
+        self._blocks[slot] = Moments.of(block[:, :split]).sums + tail
+        self._slot = (slot + 1) % self._q
+
+    def last_window(self):
+        """The moments of the window that ends with the last block."""
+        return Moments(self._blocks.sum(axis=0) + self._head)
 
 
 class _Gate:
@@ -218,7 +260,11 @@ class OnlineState:
         # raw samples after the last block boundary
         self._raw = np.empty((self.channels, 0))
         self._filtered = 0
-        self._buffer = _WindowBuffer(model.dim, self._w)
+        # the SCM and shrinkage estimates need only the window's moments
+        if model.estimator_spec.kind in MOMENT_KINDS:
+            self._buffer = _MomentRing(model.dim, self._w, self._step)
+        else:
+            self._buffer = _WindowBuffer(model.dim, self._w, self.sample_rate)
         self._gate = _Gate(self.config)
         self.epoch_index = 0
         self.samples_seen = 0
@@ -252,23 +298,19 @@ class OnlineState:
             pos += self._next_block
             self._filtered += self._next_block
             self._next_block = self._step
-            # keep from the first sample of the next epoch to close
-            self._buffer.append(self._bank.process(block),
-                                self.epoch_index * self._step)
+            self._buffer.append(self._bank.process(block))
             # from the first window on, every block boundary ends an epoch
             if self._filtered >= self._w:
-                row, decision = self._gate.step(
-                    self._score_epoch(self._filtered))
+                row, decision = self._gate.step(self._score_epoch())
                 self.epoch_log.append(row)
                 if decision is not None:
                     decisions.append(decision)
         self._raw = raw[:, pos:]
         return decisions
 
-    def _score_epoch(self, end):
-        window = self._buffer.window(end - self._w, end)
-        cov = estimate(Trial(window, self.sample_rate),
-                       self.model.estimator_spec)
+    def _score_epoch(self):
+        end = self._filtered
+        cov = estimate(self._buffer.last_window(), self.model.estimator_spec)
         label, dists = classify_covariance(cov, self.model)
         self.epoch_index += 1
         return {"epoch": self.epoch_index, "end_sample": end,

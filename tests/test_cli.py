@@ -523,6 +523,8 @@ def test_ignored_estimator_flag_is_validation_error(tmp_path, trained_once,
 
 # stands for the trained model's path in the argument lists below
 MODEL = object()
+# stands for a dataset recorded at 512 Hz, which the 256 Hz model refuses
+FAST_DATA = object()
 MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
                     ("--blankertz-scale", "channels"), ("--latency", 3.0),
                     ("--half-bandwidth", 2.0), ("--filter-order", 6)]
@@ -531,16 +533,23 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
 @pytest.mark.parametrize("command, argv, named", [
     ("train", ("--estimator", "bogus"), "bogus"),
     ("eval", ("--model", MODEL, "--window", 0.1, "--step", 0.2), "step"),
+    ("eval", ("--model", MODEL, "--step", 0.001), "step"),
+    ("eval", ("--model", MODEL, "--data", FAST_DATA), "sample rate 512.0"),
     *[("embed", ("--model", MODEL, *flag), flag[0])
       for flag in MODEL_SPEC_FLAGS],
-], ids=["train-estimator", "eval-step",
+], ids=["train-estimator", "eval-step", "eval-step-below-one-sample",
+        "eval-other-sample-rate",
         *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS]])
 def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
                                     argv, named):
     data, model = trained_once
+    fill = {MODEL: model}
+    if FAST_DATA in argv:
+        fill[FAST_DATA] = gen_small(tmp_path, "fast", trials_per_class=1,
+                                    sample_rate=512.0)
     out = tmp_path / command
     assert run(command, "--data", data, "--out", out,
-               *[model if a is MODEL else a for a in argv]) == 2
+               *[fill.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()

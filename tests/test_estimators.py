@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spdbci import estimators as est
@@ -348,3 +352,96 @@ def test_estimate_dispatch():
         cov = est.estimate(trial, est.spec_from_name(name))
         assert cov.shape == (3, 3)
         assert np.linalg.norm(cov - cov.T) <= 1e-10 * np.linalg.norm(cov)
+
+
+# ---------------------------------------------------------------------------
+# estimates from summed block moments
+# ---------------------------------------------------------------------------
+
+MOMENT_SPECS = {
+    "scm": est.EstimatorSpec(kind="scm"),
+    "ledoit": est.spec_from_name("ledoit"),
+    "blankertz": est.spec_from_name("blankertz"),
+    "blankertz-channels": est.spec_from_name(
+        "blankertz", blankertz_scale="channels"),
+    "schafer": est.spec_from_name("schafer"),
+    "schafer-0.3": est.spec_from_name("schafer", kappa=0.3),
+}
+
+
+def block_moments(values, cuts):
+    """The summed Moments of ``values`` split at the columns ``cuts``."""
+    blocks = np.split(values, sorted(cuts), axis=1)
+    return sum((est.Moments.of(b) for b in blocks[1:]),
+               est.Moments.of(blocks[0]))
+
+
+# one live window (8 channels x 3 bands, 921 samples), at the scales of
+# volts, of arbitrary units and of millivolts, filtered (zero mean) or
+# raw with a DC offset of up to a few times each channel's spread
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-6, 1.0, 1e3]),
+       offset=st.sampled_from([0.0, 3.0]),
+       cuts=st.lists(st.integers(1, 920), max_size=20, unique=True))
+@pytest.mark.parametrize("name", sorted(MOMENT_SPECS))
+def test_moments_of_blocks_estimate_the_window(name, seed, scale, offset,
+                                               cuts):
+    rng = np.random.default_rng(seed)
+    spread = rng.uniform(0.5, 2.0, (24, 1))
+    values = scale * (spread * rng.standard_normal((24, 921))
+                      + offset * spread * rng.standard_normal((24, 1)))
+    moments = block_moments(values, cuts)
+    assert (moments.channels, moments.samples) == (24, 921)
+    spec = MOMENT_SPECS[name]
+    expected = est.estimate(make_trial(values), spec)
+    got = est.estimate(moments, spec)
+    assert np.linalg.norm(got - expected) <= \
+        1e-12 * np.linalg.norm(expected)
+
+
+def test_moments_add_the_sums_of_two_windows():
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((3, 10))
+    whole = est.Moments.of(x)
+    parts = est.Moments.of(x[:, :4]) + est.Moments.of(x[:, 4:])
+    assert whole.sums.shape == (7, 7)
+    assert_allclose(parts.sums, whole.sums, rtol=1e-14, atol=1e-14)
+    z = np.vstack([np.ones(10), x, x * x])
+    assert_allclose(whole.sums, z @ z.T, rtol=1e-14)
+
+
+def test_analytic_kappa_from_moments_matches_the_trial():
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((4, 40))
+    spec = est.spec_from_name("schafer")
+    _, kappa = est.shrinkage_with_kappa(make_trial(x), spec)
+    _, from_moments = est.shrinkage_with_kappa(est.Moments.of(x), spec)
+    assert 0.0 < kappa < 1.0
+    assert from_moments == pytest.approx(kappa, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["nscm", "fixed_point"])
+def test_sample_weighted_estimators_refuse_moments(name):
+    rng = np.random.default_rng(32)
+    moments = est.Moments.of(rng.standard_normal((3, 60)))
+    with pytest.raises(ValidationError, match="needs the samples"):
+        est.estimate(moments, est.spec_from_name(name))
+
+
+def test_moments_of_one_sample_are_refused():
+    moments = est.Moments.of(np.ones((3, 1)))
+    for spec in MOMENT_SPECS.values():
+        with pytest.raises(ValidationError, match="at least 2 samples"):
+            est.estimate(moments, spec)
+
+
+def test_scm_of_rank_deficient_moments_warns():
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((3, 60))
+    x[2] = x[0]
+    with pytest.warns(est.RankDeficientCovarianceWarning):
+        est.scm(est.Moments.of(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", est.RankDeficientCovarianceWarning)
+        est.scm(est.Moments.of(rng.standard_normal((3, 60))))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from spdbci import mdrm, online, synthgen
 from spdbci.errors import ValidationError
-from spdbci.estimators import EstimatorSpec, Trial
+from spdbci.estimators import (EstimatorSpec, RankDeficientCovarianceWarning,
+                               Trial, estimate, spec_from_name)
 from spdbci.mdrm import PreprocSpec
 from spdbci.online import OnlineConfig, OnlineState
-from spdbci.preprocessing import epoch_stream
+from spdbci.preprocessing import epoch_stream, extend_trial
 
 from conftest import frames_of
 
@@ -425,6 +427,114 @@ def test_epoch_log_keeps_distances(trained):
         assert isinstance(dists, tuple) and len(dists) == model.class_count
         assert all(type(d) is float for d in dists)
         assert row["label"] == int(np.argmin(dists)) + 1
+
+
+# ---------------------------------------------------------------------------
+# the epoch estimate: block moments (scm, shrinkage) or the window itself
+# ---------------------------------------------------------------------------
+
+ESTIMATOR_NAMES = ["scm", "ledoit", "nscm", "fixed_point"]
+
+
+def split_at(snr_db):
+    """Train and test sets of the ``trained`` fixture's kind at ``snr_db``,
+    with their preprocessing."""
+    cfg = synthgen.GenConfig(trials_per_class=10, snr_db=snr_db, seed=21)
+    train, test = synthgen.stratified_split(synthgen.generate(cfg), 8)
+    pre = PreprocSpec(stim_freqs=cfg.stim_freqs, sample_rate=cfg.sample_rate)
+    return train, test, pre
+
+
+@pytest.fixture(scope="module")
+def split_set():
+    return split_at(30.0)
+
+
+@pytest.fixture(scope="module", params=ESTIMATOR_NAMES)
+def model_per_estimator(request, split_set):
+    train, test, pre = split_set
+    model, _ = mdrm.train(train, spec_from_name(request.param), pre)
+    return model, np.hstack([t.values for t in test.trials[:3]])
+
+
+def live_and_offline_epochs(model, stream, monkeypatch):
+    """Per epoch of ``stream`` pushed in 32-sample frames: the live
+    epoch-log row and covariance, and the covariance estimated from that
+    epoch of the one-piece filtered stream."""
+    live = []
+
+    def recording(data, spec):
+        live.append(estimate(data, spec))
+        return live[-1]
+
+    monkeypatch.setattr(online, "estimate", recording)
+    state = OnlineState(model)
+    for frame in frames_of(stream, [32]):
+        state.push_samples(frame)
+    pre = model.preproc_spec
+    filtered = extend_trial(Trial(stream, pre.sample_rate), pre.stim_freqs,
+                            pre.half_bandwidth, pre.filter_order, pre.sos)
+    epochs = epoch_stream(filtered, OnlineConfig().plan())
+    assert len(epochs) == len(live) == len(state.epoch_log) > 0
+    return [(row, cov, estimate(epoch, model.estimator_spec))
+            for row, cov, epoch in zip(state.epoch_log, live, epochs)]
+
+
+def test_live_epoch_covariances_match_offline_estimates(model_per_estimator,
+                                                        monkeypatch):
+    # from block moments (scm, shrinkage) or from the buffered window
+    model, stream = model_per_estimator
+    spec = model.estimator_spec
+    # the fixed point is defined only to its stopping rule: inputs that
+    # differ by roundoff may stop one iteration apart
+    rtol = spec.fp_tolerance if spec.kind == "fixed_point" else 1e-12
+    for _, live, offline in live_and_offline_epochs(model, stream,
+                                                    monkeypatch):
+        assert np.linalg.norm(live - offline) <= \
+            rtol * np.linalg.norm(offline)
+
+
+@pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+def test_live_epoch_distances_match_offline_at_low_snr(name, monkeypatch):
+    # At 0 dB, as in a live session, the epoch covariances are
+    # conditioned well enough (about 5e3) for 1e-10 relative distances;
+    # at 30 dB (about 5e6) filter roundoff alone moves the distances of
+    # the window path by ~1e-7, though the covariances agree to 1e-14.
+    train, test, pre = split_at(0.0)
+    model, _ = mdrm.train(train, spec_from_name(name), pre)
+    stream = np.hstack([t.values for t in test.trials[:3]])
+    for row, _, offline in live_and_offline_epochs(model, stream,
+                                                   monkeypatch):
+        label, dists = mdrm.classify_covariance(offline, model)
+        live = np.array(row["distances"])
+        assert np.all(np.abs(live - dists) <= 1e-10 * dists)
+        nearest = np.sort(dists)
+        if nearest[1] > (1.0 + 1e-9) * nearest[0]:
+            assert row["label"] == label
+
+
+def test_each_estimator_streams_alike_for_any_frame_size(model_per_estimator):
+    model, stream = model_per_estimator
+    whole = OnlineState(model)
+    decisions = whole.push_samples(stream)
+    for sizes in ([1], [7, 300, 51]):
+        state = OnlineState(model)
+        chunked = []
+        for frame in frames_of(stream, sizes):
+            chunked.extend(state.push_samples(frame))
+        assert chunked == decisions and state.epoch_log == whole.epoch_log
+
+
+def test_rank_deficient_epoch_still_warns(split_set):
+    train, test, pre = split_set
+    model, _ = mdrm.train(train, EstimatorSpec(kind="scm"), pre)
+    stream = test.trials[0].values.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RankDeficientCovarianceWarning)
+        OnlineState(model).push_samples(stream)
+    stream[1] = stream[0]
+    with pytest.warns(RankDeficientCovarianceWarning):
+        OnlineState(model).push_samples(stream)
 
 
 # ---------------------------------------------------------------------------

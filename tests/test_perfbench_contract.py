@@ -83,3 +83,28 @@ def test_live_stream_calls_the_spans_the_benchmark_predicts(monkeypatch):
             + workloads.LiveStream.predicted_absent:
         assert calls[name] == 0, name
     assert calls["manifold.distance"] == state.epoch_index
+
+
+def test_live_stream_estimates_one_window_per_epoch(monkeypatch):
+    # perfbench's estimators.estimate_samples counts args[0].samples of
+    # each estimate: a full window per epoch, whether the stream hands
+    # the estimator the window or the moments of its blocks
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    trial_set = synthgen.generate(synthgen.GenConfig(trials_per_class=3))
+    model, _ = mdrm.train(trial_set)
+    state = online.OnlineState(model)
+    stream = np.hstack([t.values for t in trial_set.trials[:3]])
+    recorder = spans.SpanRecorder()
+    with spans.instrumented(recorder):
+        for start in range(0, stream.shape[1], workloads.FRAME_SAMPLES):
+            state.push_samples(
+                stream[:, start:start + workloads.FRAME_SAMPLES])
+    summary = spans.summarize(recorder.spans)
+    window = state.config.plan().window_samples(state.sample_rate)
+    assert state.epoch_index > 0
+    assert summary["calls"]["estimators.estimate"] == state.epoch_index
+    assert summary["extras"]["estimators.estimate"]["samples"] == \
+        state.epoch_index * window
