@@ -140,12 +140,13 @@ def cmd_train(args):
     trial_set = synthgen.load(args.data)
     estimator = _estimator(args)
     preproc = _dataset_preproc(trial_set, args)
-    out = _prepare_out(args.out, args.force)
     mean_kwargs = {}
     if args.mean_tol is not None:
         mean_kwargs["mean_tolerance"] = args.mean_tol
     if args.mean_max_iter is not None:
         mean_kwargs["mean_max_iterations"] = args.mean_max_iter
+    mdrm.check_train_settings(args.potato_z, **mean_kwargs)
+    out = _prepare_out(args.out, args.force)
     model, report = mdrm.train(trial_set, estimator, preproc,
                                potato_z=args.potato_z, **mean_kwargs)
     mdrm.save_model(model, out / "model.mdrm")
@@ -246,6 +247,7 @@ def cmd_bench(args):
         seed=args.seed,
     )
     preproc = _dataset_preproc(trial_set, args)
+    metrics.benchmark_pools(trial_set, config)
     out = _prepare_out(args.out, args.force)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RankDeficientCovarianceWarning)
@@ -291,6 +293,8 @@ def cmd_embed(args):
     trial_set = synthgen.load(args.data)
     model = mdrm.load_model(args.model) if args.model else None
     preproc, estimator = _dataset_specs(trial_set, args, model)
+    if args.potato_z is not None:
+        mdrm.check_potato_z(args.potato_z)
     out = _prepare_out(args.out, args.force)
     covs = [mdrm.trial_covariance(t, preproc, estimator)
             for t in trial_set.trials]
@@ -325,6 +329,7 @@ def cmd_embed(args):
 def cmd_potato(args):
     trial_set = synthgen.load(args.data)
     preproc, estimator = _dataset_specs(trial_set, args)
+    mdrm.check_potato_z(args.z)
     out = _prepare_out(args.out, args.force)
     covs = [mdrm.trial_covariance(t, preproc, estimator)
             for t in trial_set.trials]

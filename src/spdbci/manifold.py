@@ -84,25 +84,30 @@ def _symmetrize_stack(stack, names):
 
 
 def _eigh_spd(p, name):
-    """Eigendecomposition of an SPD matrix, validating positivity."""
-    p = symmetrize(p, name)
+    """Eigendecomposition of an SPD matrix, or of each matrix of a (K, C, C)
+    stack, validating positivity."""
+    p = symmetrize(p, name) if p.ndim == 2 else \
+        _symmetrize_stack(p, [name] * len(p))
     w, u = np.linalg.eigh(p)
-    if w[0] <= 0.0:
+    if (w[..., 0] <= 0.0).any():
         raise ValidationError(
-            f"{name} is not positive definite: smallest eigenvalue {w[0]:.3e}"
-        )
+            f"{name} is not positive definite: smallest eigenvalue "
+            f"{np.min(w[..., 0]):.3e}")
     return w, u
 
 
 def _spectral(w, u, f):
-    """``U diag(f(w)) U^T`` for the eigenpairs ``(w, u)`` of a symmetric matrix."""
-    return (u * f(w)) @ u.T
+    """``U diag(f(w)) U^T`` for the eigenpairs ``(w, u)`` of a symmetric
+    matrix, or for each of a stack of them."""
+    return (u * f(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def _whitening(p, name):
-    """``(P^1/2, P^-1/2)`` from one eigendecomposition of the SPD matrix P."""
+    """``(P^1/2, P^-1/2)`` from one eigendecomposition of the SPD matrix P,
+    or of each matrix of a (K, C, C) stack."""
     w, u = _eigh_spd(p, name)
-    return _spectral(w, u, np.sqrt), (u / np.sqrt(w)) @ u.T
+    return (_spectral(w, u, np.sqrt),
+            (u / np.sqrt(w)[..., None, :]) @ np.swapaxes(u, -1, -2))
 
 
 def matrix_exp(s):
@@ -138,12 +143,24 @@ def _clamped_positive(w, name):
     return np.maximum(w, top * EIG_FLOOR_RTOL)
 
 
-def _whitened_log(inv_half, point, name):
-    """``Log(B^-1/2 P B^-1/2)`` given ``inv_half = B^-1/2``, with roundoff-
-    negative eigenvalues of the whitened point clamped."""
-    inner = inv_half @ point @ inv_half
-    w, u = np.linalg.eigh((inner + inner.T) / 2.0)
-    return _spectral(_clamped_positive(w, name), u, np.log)
+def _clamped_rows(w, names):
+    """:func:`_clamped_positive` over each row of a stack of spectra, in one
+    vectorized pass; the error names the first row it rejects."""
+    top = w[:, -1:]
+    bad = (top[:, 0] <= 0.0) | (w[:, 0] < -EIG_REJECT_RTOL * top[:, 0])
+    if bad.any():
+        raise ValidationError(
+            f"{names[int(np.argmax(bad))]} is not positive definite")
+    return np.maximum(w, top * EIG_FLOOR_RTOL)
+
+
+def _whitened_logs(inv_half, points, names):
+    """``Log(B^-1/2 P B^-1/2)`` for each P of a (K, C, C) stack, given
+    ``inv_half = B^-1/2`` (or a stack of K of them), with roundoff-negative
+    eigenvalues of each whitened point clamped."""
+    inner = inv_half @ points @ inv_half
+    w, u = np.linalg.eigh((inner + inner.transpose(0, 2, 1)) / 2.0)
+    return _spectral(_clamped_rows(w, names), u, np.log)
 
 
 def exp_map(base, tangent):
@@ -171,31 +188,36 @@ def log_map(base, point):
     point = symmetrize(point, "point")
     _check_same_dim(base, point)
     half, inv_half = _whitening(base, "base")
-    out = half @ _whitened_log(inv_half, point, "point") @ half
+    out = half @ _whitened_logs(inv_half, point[None], ["point"])[0] @ half
     return (out + out.T) / 2.0
 
 
-def _whitened_spectra(chol, mats, names):
-    """Clamped eigenvalues of ``L^-1 M L^-T`` for each M of a (K, C, C)
-    stack, given the lower Cholesky factor ``L``.
+def _whitened(chol, mats):
+    """``L^-1 M L^-T``, symmetrized, for each M of a (K, C, C) stack,
+    given the lower Cholesky factor ``L``.
 
     Both triangular solves run once over the K matrices laid side by side
-    (C x K*C), and one stacked ``eigvalsh`` takes every spectrum.
+    (C x K*C).
     """
     # imported here, not at module level, to keep scipy.linalg out of
     # start-up; later calls find the module already loaded
-    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dtrtrs
+
+    def solve(rhs):
+        # the LAPACK call scipy's solve_triangular(chol, rhs, lower=True)
+        # makes for a C-ordered factor, without its per-call validation
+        # (every input here is finite and square)
+        x, info = dtrtrs(chol.T, rhs, lower=0, trans=1)
+        if info:
+            raise np.linalg.LinAlgError("singular triangular factor")
+        return x
 
     k, c, _ = mats.shape
-    tmp = solve_triangular(chol, mats.transpose(1, 0, 2).reshape(c, k * c),
-                           lower=True)
+    tmp = solve(mats.transpose(1, 0, 2).reshape(c, k * c))
     # [(L^-1 M_1)^T ... (L^-1 M_K)^T], side by side
     tmp_t = tmp.reshape(c, k, c).transpose(2, 1, 0).reshape(c, k * c)
-    white = solve_triangular(chol, tmp_t, lower=True)
-    white = white.reshape(c, k, c).transpose(1, 0, 2)
-    w = np.linalg.eigvalsh((white + white.transpose(0, 2, 1)) / 2.0)
-    return np.array([_clamped_positive(row, name)
-                     for row, name in zip(w, names)])
+    white = solve(tmp_t).reshape(c, k, c).transpose(1, 0, 2)
+    return (white + white.transpose(0, 2, 1)) / 2.0
 
 
 class FactoredStack:
@@ -252,46 +274,86 @@ def distance(p1, p2):
     explicitly; the spectra coincide. A stack shares that one
     factorization and is scored in one pass.
 
+    ``p1`` may also be a (T, C, C) stack, giving T distances against one
+    ``p2`` or a (T, K) array against a stack. Each ``p1[t]`` is whitened
+    exactly as it would be alone, and its row equals the single call bit
+    for bit; every spectrum goes through one stacked ``eigvalsh``. A
+    member that is not finite and symmetric raises
+    :class:`ValidationError` naming ``p1[t]``.
+
     ``p2`` may also be a :class:`FactoredStack`, for many ``p1`` against
     fixed references: each reference's own factor whitens ``p1`` and the
     array of K distances agrees with the plain stack's to roundoff.
     """
-    p1 = symmetrize(p1, "p1")
     if isinstance(p2, FactoredStack):
+        p1 = symmetrize(p1, "p1")
         if p2.inv_chol.shape[1:] != p1.shape:
             raise ValidationError(
                 f"dimension mismatch: {p1.shape} vs {p2.inv_chol.shape}")
         return p2.distances(p1)
+    p1 = np.asarray(p1, dtype=float)
+    if p1.ndim == 3 and p1.shape[1] == p1.shape[2] and len(p1):
+        p1_names = [f"p1[{t}]" for t in range(len(p1))]
+        points = _symmetrize_stack(p1, p1_names)
+    else:
+        p1_names = ["p1"]
+        points = symmetrize(p1, "p1")[None]
+    dim = points.shape[1:]
     p2 = np.asarray(p2, dtype=float)
-    if p2.ndim not in (2, 3) or p2.shape[-2:] != p1.shape or not p2.size:
+    if p2.ndim not in (2, 3) or p2.shape[-2:] != dim or not p2.size:
         raise ValidationError(f"dimension mismatch: {p1.shape} vs {p2.shape}")
     single = p2.ndim == 2
-    bases = p2.reshape(-1, *p1.shape)
+    bases = p2.reshape(-1, *dim)
     names = ["p2"] if single else [f"p2[{k}]" for k in range(len(bases))]
     bases = _symmetrize_stack(bases, names)
-    # The spectrum of p2 whitened by p1 is the inverse of p1 whitened by
-    # p2, and the distance only sees squared logs, so either whitening
-    # order works; fall back to each base's factorization when p1 is not
-    # numerically factorizable.
-    try:
-        chol = np.linalg.cholesky(p1)
-    except np.linalg.LinAlgError:
-        w = np.array([_whitened_spectra(_cholesky_or_neither(base, name),
-                                        p1[None], ["p1"])[0]
-                      for base, name in zip(bases, names)])
-    else:
-        w = _whitened_spectra(chol, bases, names)
-    d = np.sqrt(np.sum(np.log(w) ** 2, axis=1))
-    return float(d[0]) if single else d
+    white, row_names = [], []
+    for point, point_name in zip(points, p1_names):
+        # The spectrum of p2 whitened by p1 is the inverse of p1 whitened
+        # by p2, and the distance only sees squared logs, so either
+        # whitening order works; fall back to each base's factorization
+        # when p1 is not numerically factorizable.
+        try:
+            chol = np.linalg.cholesky(point)
+        except np.linalg.LinAlgError:
+            white += [_whitened(_cholesky_or_neither(base, point_name, name),
+                                point[None])
+                      for base, name in zip(bases, names)]
+            row_names += [point_name] * len(bases)
+        else:
+            white.append(_whitened(chol, bases))
+            row_names += names
+    w = _clamped_rows(np.linalg.eigvalsh(np.concatenate(white)), row_names)
+    d = np.sqrt(np.sum(np.log(w) ** 2, axis=1)).reshape(len(points), -1)
+    if p1.ndim == 3:
+        return d[:, 0] if single else d
+    return float(d[0, 0]) if single else d[0]
 
 
-def _cholesky_or_neither(base, name):
-    """Cholesky factor of ``base`` when ``p1`` has none."""
+def _cholesky_or_neither(base, point_name, name):
+    """Cholesky factor of ``base`` when ``point_name`` has none."""
     try:
         return np.linalg.cholesky(base)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(
-            f"neither p1 nor {name} is positive definite") from exc
+            f"neither {point_name} nor {name} is positive definite") from exc
+
+
+def check_mean_solver(tolerance, max_iterations):
+    """Refuse a :func:`karcher_mean` setting it cannot run with; callers
+    that take the setting from a user check it here before any work."""
+    if tolerance <= 0:
+        raise ValidationError("tolerance must be positive")
+    if max_iterations < 1:
+        raise ValidationError("max_iterations must be at least 1")
+
+
+def _point_mean(stack):
+    """Mean over axis 1 of an (R, N, C, C) stack, added in point order as
+    ``sum`` adds a list (a numpy reduction's bits would depend on R)."""
+    total = 0.0 + stack[:, 0]
+    for i in range(1, stack.shape[1]):
+        total = total + stack[:, i]
+    return total / stack.shape[1]
 
 
 def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
@@ -305,60 +367,127 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
 
     Parameters
     ----------
-    points : sequence of ndarray
-        Nonempty collection of SPD matrices of equal dimension.
+    points : sequence of ndarray, or ndarray of shape (R, N, C, C)
+        Nonempty collection of SPD matrices of equal dimension, or R
+        independent problems of N points each. The problems are solved in
+        lockstep, each with its own iterate, step scale, backoff and
+        stopping test, so each result equals the one-problem call bit
+        for bit; points that are bitwise equal within a problem share one
+        whitened log per iteration.
     tolerance : float
         Frobenius-norm threshold on the mean tangent step.
     max_iterations : int
         Iteration cap; exceeding it raises :class:`ConvergenceError`
-        carrying the last iterate and residual.
+        carrying the last iterate and residual. For R problems these are
+        the (R, C, C) stack (converged problems hold their mean) and the
+        array of R residuals; a problem stalled where its residual is not
+        below ``tolerance``.
+
+    Returns the (C, C) mean, or the (R, C, C) stack of them. Errors name
+    the offending point as ``points[i]``, or ``points[r, i]`` for R
+    problems.
     """
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValidationError("max_iterations must be at least 1")
-    mats = [symmetrize(p, f"points[{i}]") for i, p in enumerate(points)]
-    if not mats:
+    check_mean_solver(tolerance, max_iterations)
+    batch = getattr(points, "ndim", None) == 4
+    groups = points if batch else [points]
+
+    def name(r, i):
+        return f"points[{r}, {i}]" if batch else f"points[{i}]"
+
+    mats = [[symmetrize(p, name(r, i)) for i, p in enumerate(group)]
+            for r, group in enumerate(groups)]
+    if not mats or not mats[0]:
         raise ValidationError("karcher_mean requires at least one matrix")
-    dim = mats[0].shape[0]
-    for i, m in enumerate(mats):
+    dim = mats[0][0].shape[0]
+    for i, m in enumerate(mats[0]):
         if m.shape[0] != dim:
             raise ValidationError(
                 f"points[{i}] has dim {m.shape[0]}, expected {dim}")
-    if len(mats) == 1:
-        _eigh_spd(mats[0], "points[0]")
-        return mats[0]
+    pts = np.array(mats)
+    count, n = pts.shape[:2]
+    if n == 1:
+        for r in range(count):
+            _eigh_spd(pts[r, 0], name(r, 0))
+        return pts[:, 0] if batch else pts[0, 0]
 
-    mean = sum(mats) / len(mats)
-    residual = np.inf
-    scale = 1.0
-    previous = None
+    # Only the distinct points of each problem are kept, in order: owner
+    # is the active problem each belongs to, and where[r, i] the row of
+    # point i of active problem r among them.
+    first, where = [], np.empty((count, n), dtype=int)
+    for r in range(count):
+        seen = {}
+        for i in range(n):
+            where[r, i] = seen.setdefault(pts[r, i].tobytes(), len(first))
+            if where[r, i] == len(first):
+                first.append((r, i))
+    owner = np.array([r for r, _ in first])
+    members = pts[owner, [i for _, i in first]]
+    member_names = np.array([name(r, i) for r, i in first], dtype=object)
+    mean = _point_mean(pts)
+    del mats, pts
+    result = np.empty_like(mean)
+    final_residual = np.full(count, np.inf)
+    active = np.arange(count)
+    scale = np.ones(count)
+    # the previous half, step and residual of each active problem; a NaN
+    # residual means no previous iterate, since no comparison holds
+    previous = (None, None, np.full(count, np.nan))
     for _ in range(max_iterations):
         half, inv_half = _whitening(mean, "mean iterate")
-        step = sum(_whitened_log(inv_half, m, f"points[{i}]")
-                   for i, m in enumerate(mats)) / len(mats)
+        logs = _whitened_logs(inv_half[owner], members, member_names)
+        step = _point_mean(logs[where])
         # residual is the Frobenius norm of the mean tangent step expressed
-        # at the iterate, i.e. of mean_n log_map(G, P_n).
-        residual = float(np.linalg.norm(half @ step @ half))
-        if residual < tolerance:
-            return mean
-        if previous is not None and residual >= previous[3]:
-            # The full step overshoots once points are spread far apart;
-            # back off to the previous iterate with a smaller step. For
-            # tightly clustered inputs this branch never triggers and the
-            # iteration is the plain full-step scheme.
-            mean, half, step, residual = previous
-            scale *= 0.5
-        else:
-            previous = (mean, half, step, residual)
-            scale = min(1.0, scale * 2.0)
-        mean = half @ matrix_exp(scale * step) @ half
-        mean = (mean + mean.T) / 2.0
+        # at the iterate, i.e. of mean_n log_map(G, P_n), taken as
+        # np.linalg.norm takes it (the root of a raveled dot) one problem
+        # at a time, so that its bits do not depend on the batch
+        moved = (half @ step @ half).reshape(len(half), -1)
+        residual = np.sqrt([m.dot(m) for m in moved])
+
+        done = residual < tolerance
+        if done.any():
+            result[active[done]] = mean[done]
+            final_residual[active[done]] = residual[done]
+            keep = ~done
+            active, mean, half, step, residual, scale = (
+                a[keep] for a in (active, mean, half, step, residual, scale))
+            previous = tuple(a if a is None else a[keep] for a in previous)
+            if not len(active):
+                return result if batch else result[0]
+            kept = keep[owner]
+            members, member_names = members[kept], member_names[kept]
+            owner = (np.cumsum(keep) - 1)[owner[kept]]
+            where = (np.cumsum(kept) - 1)[where[keep]]
+        # The full step overshoots once points are spread far apart; back
+        # off to the previous iterate with a smaller step. For tightly
+        # clustered inputs this never triggers and the iteration is the
+        # plain full-step scheme.
+        back = residual >= previous[2]
+        if back.any():
+            half = np.where(back[:, None, None], previous[0], half)
+            step = np.where(back[:, None, None], previous[1], step)
+            residual = np.where(back, previous[2], residual)
+        scale = np.where(back, scale * 0.5, np.minimum(1.0, scale * 2.0))
+        previous = (half, step, residual)
+
+        tangent = _symmetrize_stack(scale[:, None, None] * step,
+                                    ["tangent matrix"] * len(active))
+        mean = half @ _spectral(*np.linalg.eigh(tangent), np.exp) @ half
+        mean = (mean + mean.transpose(0, 2, 1)) / 2.0
+    result[active] = mean
+    final_residual[active] = residual
+    if not batch:
+        raise ConvergenceError(
+            f"geometric mean did not converge in {max_iterations} iterations "
+            f"(residual {residual[0]:.3e}, tolerance {tolerance:.3e})",
+            last_iterate=result[0],
+            residual=float(residual[0]),
+        )
     raise ConvergenceError(
-        f"geometric mean did not converge in {max_iterations} iterations "
-        f"(residual {residual:.3e}, tolerance {tolerance:.3e})",
-        last_iterate=mean,
-        residual=residual,
+        f"geometric mean of {len(active)} of {count} problems did not "
+        f"converge in {max_iterations} iterations (largest residual "
+        f"{np.max(residual):.3e}, tolerance {tolerance:.3e})",
+        last_iterate=result,
+        residual=final_residual,
     )
 
 

@@ -199,6 +199,7 @@ def train(trial_set, estimator_spec=None, preproc_spec=None,
     used (shrinkage) and, when the potato filter ran, per-class rejection
     counts so the caller can veto overzealous filtering.
     """
+    check_train_settings(potato_z, mean_tolerance, mean_max_iterations)
     if estimator_spec is None:
         estimator_spec = EstimatorSpec()
     if preproc_spec is None:
@@ -288,6 +289,23 @@ def classify(trial, model, latency_override=None):
     return classify_covariance(cov, model)
 
 
+def check_potato_z(z_threshold):
+    """Refuse an outlier threshold :func:`potato_filter` cannot use;
+    callers that take it from a user check it here before any work."""
+    if z_threshold <= 0:
+        raise ValidationError("z_threshold must be positive")
+
+
+def check_train_settings(
+        potato_z=None, mean_tolerance=manifold.DEFAULT_MEAN_TOLERANCE,
+        mean_max_iterations=manifold.DEFAULT_MEAN_MAX_ITERATIONS):
+    """Refuse a :func:`train` setting before any work: a potato threshold
+    or a mean-solver setting that the filter or the solver would refuse."""
+    if potato_z is not None:
+        check_potato_z(potato_z)
+    manifold.check_mean_solver(mean_tolerance, mean_max_iterations)
+
+
 def potato_filter(covs, z_threshold=DEFAULT_POTATO_Z):
     """Keep covariances whose distance to the pooled mean is unexceptional.
 
@@ -296,13 +314,12 @@ def potato_filter(covs, z_threshold=DEFAULT_POTATO_Z):
     ``z_threshold``. A near-zero distance spread means nothing can be an
     outlier: everything is kept and the result is flagged degenerate.
     """
-    if z_threshold <= 0:
-        raise ValidationError("z_threshold must be positive")
+    check_potato_z(z_threshold)
     if len(covs) < 2:
         raise ValidationError("outlier filtering needs at least 2 matrices")
     reference = manifold.karcher_mean(covs, POOLED_MEAN_TOLERANCE,
                                       POOLED_MEAN_MAX_ITERATIONS)
-    dists = np.array([manifold.distance(cov, reference) for cov in covs])
+    dists = manifold.distance(np.array(covs), reference)
     spread = float(dists.std())
     if spread < 1e-12:
         return PotatoResult(kept=tuple(range(len(covs))), rejected=(),

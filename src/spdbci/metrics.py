@@ -203,6 +203,27 @@ def _estimate_all(trials, spec):
     return covs, None, stalled
 
 
+def benchmark_pools(trial_set, config):
+    """Trial indices of each class, after checking that ``trial_set`` can
+    run ``config``: every crop fits the shortest trial and every class has
+    the two trials a train/test split needs. Otherwise raises
+    :class:`ValidationError`, before any work."""
+    min_duration = min(t.duration for t in trial_set.trials)
+    for length in config.trial_lengths_seconds:
+        if length > min_duration + 1e-9:
+            raise ValidationError(
+                f"trial length {length} s exceeds the shortest trial "
+                f"({min_duration} s)")
+    by_class = {}
+    for i, lab in enumerate(trial_set.labels):
+        by_class.setdefault(lab, []).append(i)
+    for cls in range(1, trial_set.class_count + 1):
+        if len(by_class.get(cls, [])) < 2:
+            raise ValidationError(
+                f"class {cls} needs at least 2 trials for a train/test split")
+    return by_class
+
+
 def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     """Bootstrap comparison of covariance estimators under MDRM.
 
@@ -215,6 +236,13 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     estimate that stalls is scored at its last iterate and counted in the
     ``unconverged_means`` or ``unconverged_estimates`` column.
 
+    Every replication draws the same number of training trials per class,
+    so each class's means over all replications are one lockstep
+    :func:`~spdbci.manifold.karcher_mean` call on an (R, N, C, C) stack,
+    and each split's distinct test covariances are scored against its
+    centers in one :func:`~spdbci.manifold.distance` call. Both give the
+    bits of one call per mean and per trial.
+
     ``threads`` is accepted and ignored: work is single-threaded apart
     from BLAS. It stays only because the benchmark in ``perfbench/``
     passes ``threads=1``.
@@ -222,74 +250,65 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     config = config or BenchConfig()
     if preproc is None:
         preproc = PreprocSpec.for_trial_set(trial_set)
+    by_class = benchmark_pools(trial_set, config)
     k = trial_set.class_count
-    min_duration = min(t.duration for t in trial_set.trials)
-    for length in config.trial_lengths_seconds:
-        if length > min_duration + 1e-9:
-            raise ValidationError(
-                f"trial length {length} s exceeds the shortest trial "
-                f"({min_duration} s)")
-
-    by_class = {}
-    for i, lab in enumerate(trial_set.labels):
-        by_class.setdefault(lab, []).append(i)
-    for cls in range(1, k + 1):
-        if len(by_class.get(cls, [])) < 2:
-            raise ValidationError(
-                f"class {cls} needs at least 2 trials for a train/test split")
+    labels = trial_set.labels
 
     rng = np.random.default_rng(config.seed)
-    splits = []
+    # per class, the (R, N_c) training draws of every replication
+    train_draws = [[] for _ in range(k)]
+    test_draws = []
     for _ in range(config.replications):
-        train_idx, test_idx = [], []
+        test_idx = []
         for cls in range(1, k + 1):
             pool = by_class[cls]
             draw = rng.choice(pool, size=len(pool), replace=True)
             half = len(pool) - len(pool) // 2
-            train_idx.extend(int(x) for x in draw[:half])
+            train_draws[cls - 1].append(draw[:half])
             test_idx.extend(int(x) for x in draw[half:])
-        splits.append((train_idx, test_idx))
+        test_draws.append(test_idx)
+    train_draws = [np.array(draws) for draws in train_draws]
 
-    def evaluate_split(train_idx, test_idx, covs):
-        by_cls = {}
-        for i in train_idx:
-            by_cls.setdefault(trial_set.labels[i], []).append(covs[i])
-        centers = []
-        stalled = 0
-        for cls in range(1, k + 1):
+    def evaluate_splits(covs):
+        """``(predictions, scores, truth, stalled means)`` of each split."""
+        covs = np.array(covs)
+        centers, stalled = [], np.zeros(config.replications, dtype=int)
+        for draws in train_draws:
             try:
                 centers.append(manifold.karcher_mean(
-                    by_cls[cls], config.mean_tolerance,
+                    covs[draws], config.mean_tolerance,
                     config.mean_max_iterations))
             except ConvergenceError as exc:
                 # Near-singular estimates (short crops of the unregularized
                 # estimators) can stall the mean solver; score the last
-                # iterate and surface the count in the report rather than
+                # iterates and surface the count in the report rather than
                 # aborting the whole comparison.
                 centers.append(exc.last_iterate)
-                stalled += 1
-        predictions = []
-        scores = []
-        for i in test_idx:
-            dists = manifold.distance(covs[i], np.asarray(centers))
-            predictions.append(int(np.argmin(dists)) + 1)
-            scores.append(scores_from_distances(dists))
-        truth = [trial_set.labels[i] for i in test_idx]
-        return predictions, np.array(scores), truth, stalled
+                stalled += ~(exc.residual < config.mean_tolerance)
+        runs = []
+        for r, test_idx in enumerate(test_draws):
+            distinct, row = np.unique(test_idx, return_inverse=True)
+            dists = manifold.distance(covs[distinct],
+                                      np.array([c[r] for c in centers]))
+            predictions = [int(np.argmin(dists[j])) + 1 for j in row]
+            scores = np.array([scores_from_distances(dists[j]) for j in row])
+            truth = [labels[i] for i in test_idx]
+            runs.append((predictions, scores, truth, int(stalled[r])))
+        return runs
 
     rows = []
     for length in config.trial_lengths_seconds:
         trials = [preprocess_trial(_crop(t, length), preproc)
                   for t in trial_set.trials]
         baseline = _estimate_all(trials, EstimatorSpec(kind="scm"))
-        scm_runs = [evaluate_split(tr, te, baseline[0]) for tr, te in splits]
+        scm_runs = evaluate_splits(baseline[0])
         for spec in config.estimators:
             label = estimator_label(spec)
             if label == "scm":
                 (covs, kappa, stalled_estimates), runs = baseline, scm_runs
             else:
                 covs, kappa, stalled_estimates = _estimate_all(trials, spec)
-                runs = [evaluate_split(tr, te, covs) for tr, te in splits]
+                runs = evaluate_splits(covs)
             accs, itrs, idis = [], [], []
             stalled_total = 0
             for (preds, scores, truth, stalled), (_, scm_scores, _, _) in \

@@ -525,6 +525,8 @@ def test_ignored_estimator_flag_is_validation_error(tmp_path, trained_once,
 MODEL = object()
 # stands for a dataset recorded at 512 Hz, which the 256 Hz model refuses
 FAST_DATA = object()
+# stands for a dataset of one trial per class, too few to bench
+ONE_PER_CLASS = object()
 MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
                     ("--blankertz-scale", "channels"), ("--latency", 3.0),
                     ("--half-bandwidth", 2.0), ("--filter-order", 6)]
@@ -537,9 +539,18 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
     ("eval", ("--model", MODEL, "--data", FAST_DATA), "sample rate 512.0"),
     *[("embed", ("--model", MODEL, *flag), flag[0])
       for flag in MODEL_SPEC_FLAGS],
+    ("potato", ("--z", 0), "z_threshold"),
+    ("train", ("--potato-z", -1), "z_threshold"),
+    ("train", ("--mean-tol", -1), "tolerance"),
+    ("train", ("--mean-max-iter", 0), "max_iterations"),
+    ("embed", ("--potato-z", 0), "z_threshold"),
+    ("bench", ("--lengths", 100), "trial length 100.0 s"),
+    ("bench", ("--data", ONE_PER_CLASS), "class 1 needs at least 2 trials"),
 ], ids=["train-estimator", "eval-step", "eval-step-below-one-sample",
         "eval-other-sample-rate",
-        *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS]])
+        *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS],
+        "potato-z", "train-potato-z", "train-mean-tol", "train-mean-max-iter",
+        "embed-potato-z", "bench-length", "bench-one-trial-per-class"])
 def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
                                     argv, named):
     data, model = trained_once
@@ -547,6 +558,8 @@ def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
     if FAST_DATA in argv:
         fill[FAST_DATA] = gen_small(tmp_path, "fast", trials_per_class=1,
                                     sample_rate=512.0)
+    if ONE_PER_CLASS in argv:
+        fill[ONE_PER_CLASS] = gen_small(tmp_path, "one", trials_per_class=1)
     out = tmp_path / command
     assert run(command, "--data", data, "--out", out,
                *[fill.get(a, a) for a in argv]) == 2

@@ -328,6 +328,52 @@ def _with_nan(p):
     return p
 
 
+# (seed, dim, T, K, log10 of each matrix's condition number, index of a
+# rank-deficient p1, or one past the stack for none)
+_p1_stacks = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(2, 8),
+                       st.integers(1, 5), st.integers(1, 4),
+                       st.floats(0.0, 6.0), st.integers(0, 5))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(case=_p1_stacks)
+def test_stacked_p1_matches_single_p1_bitwise(case):
+    seed, dim, t, k, log10_cond, singular = case
+    rng = np.random.default_rng(seed)
+    p1 = np.array([_conditioned_spd(rng, dim, log10_cond) for _ in range(t)])
+    if singular < t:
+        # no Cholesky factor, so each base's factor whitens this member
+        v = rng.standard_normal((dim, dim - 1))
+        p1[singular] = v @ v.T
+    stack = np.array([_conditioned_spd(rng, dim, log10_cond)
+                      for _ in range(k)])
+    rows = manifold.distance(p1, stack)
+    assert rows.shape == (t, k)
+    assert np.array_equal(rows, [manifold.distance(p, stack) for p in p1])
+    column = manifold.distance(p1, stack[0])
+    assert column.shape == (t,)
+    assert np.array_equal(column, [manifold.distance(p, stack[0])
+                                   for p in p1])
+
+
+@pytest.mark.parametrize("spoil, message",
+                         [(_asymmetric, "is not symmetric"),
+                          (_with_nan, "has non-finite")])
+def test_stacked_p1_names_a_bad_member(spoil, message):
+    rng = np.random.default_rng(31)
+    p1 = np.array([random_spd(rng, 3) for _ in range(4)])
+    p1[2] = spoil(p1[2])
+    for p2 in (np.eye(3), np.array([np.eye(3), random_spd(rng, 3)])):
+        with pytest.raises(ValidationError, match=rf"p1\[2\] {message}"):
+            manifold.distance(p1, p2)
+
+
+def test_stacked_p1_neither_factorizable_names_the_member():
+    p1 = np.array([np.eye(2), np.diag([1.0, 0.0])])
+    with pytest.raises(ValidationError, match=r"neither p1\[1\] nor p2 "):
+        manifold.distance(p1, np.diag([0.0, 1.0]))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(case=_spd_sets,
        spoil=st.sampled_from([_non_pd, _asymmetric, _with_nan]))
@@ -421,6 +467,78 @@ def test_karcher_mean_nonconvergence_carries_iterate():
     assert err.value.last_iterate is not None
     assert err.value.last_iterate.shape == (4, 4)
     assert err.value.residual > 0
+
+
+# (seed, R, N, dim, log10 of each matrix's condition number, tolerance,
+# iteration cap); a cap of 2 stalls most problems of two or more points
+_mean_batches = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
+                          st.integers(1, 5), st.integers(2, 8),
+                          st.floats(0.0, 6.0), st.sampled_from([1e-3, 1e-8]),
+                          st.sampled_from([2, 6, 200]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(case=_mean_batches)
+def test_batch_means_match_single_means_bitwise(case):
+    seed, r, n, dim, log10_cond, tol, cap = case
+    rng = np.random.default_rng(seed)
+    # each problem draws its n points from n matrices with replacement,
+    # so bitwise duplicates are common
+    pools = [[_conditioned_spd(rng, dim, log10_cond) for _ in range(n)]
+             for _ in range(r)]
+    points = np.array([[pool[j] for j in rng.integers(0, n, n)]
+                       for pool in pools])
+    residual = None
+    try:
+        batch = manifold.karcher_mean(points, tol, cap)
+    except ConvergenceError as exc:
+        batch, residual = exc.last_iterate, exc.residual
+        assert residual.shape == (r,)
+    assert batch.shape == (r, dim, dim)
+    stalled = []
+    for i, problem in enumerate(points):
+        try:
+            single = manifold.karcher_mean(list(problem), tol, cap)
+        except ConvergenceError as exc:
+            stalled.append(i)
+            assert np.array_equal(batch[i], exc.last_iterate)
+            assert residual[i] == exc.residual
+        else:
+            assert np.array_equal(batch[i], single)
+    assert (residual is None) == (not stalled)
+    if residual is not None:
+        assert list(np.flatnonzero(~(residual < tol))) == stalled
+
+
+def test_batch_mean_stall_keeps_the_converged_means():
+    # one tight problem converges, one spread problem stalls at the cap
+    rng = np.random.default_rng(22)
+    base = random_spd(rng, 4)
+    tight = [base * (1.0 + 1e-9 * k) for k in range(3)]
+    spread = [random_spd(rng, 4, spread=2.0) for _ in range(3)]
+    with pytest.raises(ConvergenceError) as err:
+        manifold.karcher_mean(np.array([tight, spread]), 1e-8, 3)
+    assert np.array_equal(err.value.last_iterate[0],
+                          manifold.karcher_mean(tight, 1e-8, 3))
+    assert err.value.residual[0] < 1e-8 <= err.value.residual[1]
+    with pytest.raises(ConvergenceError) as single:
+        manifold.karcher_mean(spread, 1e-8, 3)
+    assert np.array_equal(err.value.last_iterate[1],
+                          single.value.last_iterate)
+    assert err.value.residual[1] == single.value.residual
+
+
+@pytest.mark.parametrize("spoil, message",
+                         [(lambda p: p + np.triu(np.ones_like(p), 1),
+                           "is not symmetric"),
+                          (lambda p: -p, "is not positive definite")])
+def test_batch_mean_errors_name_the_point(spoil, message):
+    rng = np.random.default_rng(23)
+    points = np.array([[random_spd(rng, 3) for _ in range(3)]
+                       for _ in range(2)])
+    points[1, 2] = spoil(points[1, 2])
+    with pytest.raises(ValidationError, match=rf"points\[1, 2\] {message}"):
+        manifold.karcher_mean(points)
 
 
 # ---------------------------------------------------------------------------

@@ -318,3 +318,97 @@ def test_benchmark_scores_same_label_specs_apart(bench_inputs, pair):
     if pair[0].kind == "fixed_point":
         assert together[0].unconverged_estimates == len(ts.trials)
         assert together[1].unconverged_estimates == 0
+
+
+def _reference_splits(ts, config):
+    """The (train, test) indices of each replication, drawn as documented."""
+    by_class = {}
+    for i, lab in enumerate(ts.labels):
+        by_class.setdefault(lab, []).append(i)
+    rng = np.random.default_rng(config.seed)
+    splits = []
+    for _ in range(config.replications):
+        train_idx, test_idx = [], []
+        for cls in range(1, ts.class_count + 1):
+            pool = by_class[cls]
+            draw = rng.choice(pool, size=len(pool), replace=True)
+            half = len(pool) - len(pool) // 2
+            train_idx.extend(int(x) for x in draw[:half])
+            test_idx.extend(int(x) for x in draw[half:])
+        splits.append((train_idx, test_idx))
+    return splits
+
+
+def _reference_rows(ts, config, pre):
+    """``run_benchmark``'s rows computed one split at a time: one Karcher
+    mean per class and split, one distance call per test trial."""
+    from spdbci.errors import ConvergenceError
+    from spdbci.mdrm import preprocess_trial
+
+    k = ts.class_count
+    splits = _reference_splits(ts, config)
+
+    def evaluate_split(train_idx, test_idx, covs):
+        centers, stalled = [], 0
+        for cls in range(1, k + 1):
+            members = [covs[i] for i in train_idx if ts.labels[i] == cls]
+            try:
+                centers.append(manifold.karcher_mean(
+                    members, config.mean_tolerance,
+                    config.mean_max_iterations))
+            except ConvergenceError as exc:
+                centers.append(exc.last_iterate)
+                stalled += 1
+        dists = [manifold.distance(covs[i], np.asarray(centers))
+                 for i in test_idx]
+        return ([int(np.argmin(d)) + 1 for d in dists],
+                np.array([metrics.scores_from_distances(d) for d in dists]),
+                [ts.labels[i] for i in test_idx], stalled)
+
+    rows = []
+    for length in config.trial_lengths_seconds:
+        trials = [preprocess_trial(metrics._crop(t, length), pre)
+                  for t in ts.trials]
+        scm_covs = metrics._estimate_all(trials, EstimatorSpec(kind="scm"))[0]
+        scm_runs = [evaluate_split(tr, te, scm_covs) for tr, te in splits]
+        for spec in config.estimators:
+            covs, kappa, stalled_estimates = metrics._estimate_all(trials, spec)
+            runs = [evaluate_split(tr, te, covs) for tr, te in splits]
+            accs = [metrics.accuracy(p, t) for p, _, t, _ in runs]
+            itrs = [metrics.itr(a / 100.0, k, 60.0 / length) for a in accs]
+            rows.append((
+                metrics.estimator_label(spec), float(length),
+                float(np.mean(accs)), float(np.std(accs)),
+                float(np.mean(itrs)), float(np.std(itrs)),
+                float(np.mean([manifold.condition_ratio(c) for c in covs])),
+                float(np.mean([metrics.idi(s, base[1], t) for (_, s, t, _),
+                               base in zip(runs, scm_runs)])),
+                kappa, sum(run[3] for run in runs), stalled_estimates))
+    return rows
+
+
+def test_benchmark_rows_match_per_split_reference():
+    # 3 trials per class: each replication trains on 2 draws per class
+    # and tests on 1, so repeats are common; at this tolerance and cap
+    # some 0.5 s means stall and the rest converge
+    from dataclasses import astuple
+
+    from spdbci.mdrm import PreprocSpec
+
+    ts = synthgen.generate(synthgen.GenConfig(trials_per_class=3, seed=5))
+    pre = PreprocSpec.for_trial_set(ts)
+    config = metrics.BenchConfig(
+        replications=5, trial_lengths_seconds=(0.5, 2.0),
+        estimators=(EstimatorSpec(kind="nscm"), EstimatorSpec(kind="scm"),
+                    EstimatorSpec(target="ledoit")),
+        seed=5, mean_tolerance=1e-10, mean_max_iterations=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = metrics.run_benchmark(ts, config, pre)
+        reference = _reference_rows(ts, config, pre)
+    assert [astuple(row) for row in report.rows] == reference
+    stalled = [row.unconverged_means for row in report.rows]
+    assert sum(stalled) > 0
+    assert max(stalled) < config.replications * ts.class_count
+    assert any(len(set(train)) < len(train)
+               for train, _ in _reference_splits(ts, config))

@@ -7,6 +7,7 @@ suite instead.
 """
 
 import inspect
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,3 +109,35 @@ def test_live_stream_estimates_one_window_per_epoch(monkeypatch):
     assert summary["calls"]["estimators.estimate"] == state.epoch_index
     assert summary["extras"]["estimators.estimate"]["samples"] == \
         state.epoch_index * window
+
+
+def test_bootstrap_calls_the_spans_the_benchmark_predicts(monkeypatch):
+    # the benchmark's wrappers only see calls made through the module
+    # names they replace, so the lockstep means and the stacked distances
+    # must go through manifold.karcher_mean and manifold.distance
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import workloads
+
+    trial_set = synthgen.generate(synthgen.GenConfig(trials_per_class=3))
+    config = metrics.BenchConfig(replications=2,
+                                 trial_lengths_seconds=(0.5, 1.0),
+                                 estimators=(spec_from_name("scm"),
+                                             spec_from_name("schafer")))
+    recorder = spans.SpanRecorder()
+    with spans.instrumented(recorder), warnings.catch_warnings():
+        # 0.5 s SCM crops are rank deficient
+        warnings.simplefilter("ignore")
+        report = metrics.run_benchmark(trial_set, config, threads=1)
+    summary = spans.summarize(recorder.spans)
+    calls = summary["calls"]
+    for name in workloads.Bootstrap.predicted_spans:
+        assert calls[name] > 0, name
+    # per length: the SCM baseline and schafer, each one mean call per
+    # class over every replication and one distance call per replication
+    passes = len(config.trial_lengths_seconds) * 2
+    assert calls["manifold.karcher"] == passes * trial_set.class_count
+    assert summary["extras"]["manifold.karcher"]["points"] == \
+        calls["manifold.karcher"] * config.replications
+    assert calls["manifold.distance"] == passes * config.replications
+    assert len(report.rows) == 4
