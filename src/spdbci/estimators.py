@@ -191,31 +191,37 @@ def _centered(trial):
     return x - x.mean(axis=1, keepdims=True)
 
 
-def _centered_sums(data, fourth):
-    """``(n, gram, sqsq)`` of a :class:`Trial` or :class:`Moments` about
-    its mean ``m``: ``gram = sum (x-m)(x-m)^T`` and, when ``fourth`` is
-    true (else None), ``sqsq = sum (x-m)^2 (x-m)^2^T``.
+def _scm(data, fourth=False):
+    """The SCM of a :class:`Trial` or :class:`Moments`, with the centered
+    sums ``(n, gram, sqsq)`` it is formed from, about the mean ``m``:
+    ``gram = sum (x-m)(x-m)^T`` and, when ``fourth`` is true (else None),
+    ``sqsq = sum (x-m)^2 (x-m)^2^T``.
 
     From moments both are congruences of the sums: ``x - m = B z`` with
     ``B = [-m | I | 0]`` and ``(x-m)^2 = A z`` with
     ``A = [m^2 | -2 diag(m) | I]``.
     """
+    sqsq = None
     if not isinstance(data, Moments):
         xc = _centered(data)
-        sq = xc * xc if fourth else None
-        return data.samples, xc @ xc.T, None if sq is None else sq @ sq.T
-    _check_samples(data)
-    n, c, sums = data.samples, data.channels, data.sums
-    m = sums[0, 1:c + 1] / n
-    x, sq = slice(1, c + 1), slice(c + 1, None)
-    # the congruences one block row and column at a time
-    bm = sums[x] - m[:, None] * sums[0]
-    gram = bm[:, x] - bm[:, :1] * m
-    if not fourth:
-        return n, gram, None
-    mm = m * m
-    am = sums[sq] - 2.0 * m[:, None] * sums[x] + mm[:, None] * sums[0]
-    return n, gram, am[:, sq] - 2.0 * am[:, x] * m + am[:, :1] * mm
+        n, gram = data.samples, xc @ xc.T
+        if fourth:
+            sq = xc * xc
+            sqsq = sq @ sq.T
+    else:
+        _check_samples(data)
+        n, c, sums = data.samples, data.channels, data.sums
+        m = sums[0, 1:c + 1] / n
+        x, sq = slice(1, c + 1), slice(c + 1, None)
+        # the congruences one block row and column at a time
+        bm = sums[x] - m[:, None] * sums[0]
+        gram = bm[:, x] - bm[:, :1] * m
+        if fourth:
+            mm = m * m
+            am = sums[sq] - 2.0 * m[:, None] * sums[x] + mm[:, None] * sums[0]
+            sqsq = am[:, sq] - 2.0 * am[:, x] * m + am[:, :1] * mm
+    cov = gram / (n - 1)
+    return (cov + cov.T) / 2.0, (n, gram, sqsq)
 
 
 def scm(trial):
@@ -227,9 +233,7 @@ def scm(trial):
     numerically rank-deficient result triggers
     :class:`RankDeficientCovarianceWarning` instead of silent repair.
     """
-    n, gram, _ = _centered_sums(trial, fourth=False)
-    cov = gram / (n - 1)
-    cov = (cov + cov.T) / 2.0
+    cov, (n, _, _) = _scm(trial)
     w = np.linalg.eigvalsh(cov)
     if w[-1] <= 0.0 or w[0] < RANK_DEFICIENCY_RTOL * w[-1]:
         warnings.warn(
@@ -286,9 +290,9 @@ def shrinkage_target(cov, target,
     raise ValidationError(f"unknown shrinkage target {target!r}")
 
 
-def _kappa(n, gram, sqsq, target, blankertz_scale):
-    """Analytic shrinkage intensity for the chosen target, clipped to [0, 1),
-    from the centered sums ``(n, gram, sqsq)`` of :func:`_centered_sums`.
+def _kappa(n, gram, sqsq, cov, tgt, target):
+    """Analytic shrinkage intensity toward ``tgt``, clipped to [0, 1), from
+    the SCM ``cov`` and the centered sums ``(n, gram, sqsq)`` of :func:`_scm`.
 
     Ratio of the summed sampling variance of the shrunk SCM entries to
     their squared distance from the target. Entries the target leaves
@@ -302,9 +306,6 @@ def _kappa(n, gram, sqsq, target, blankertz_scale):
     """
     wbar = gram / n
     var = (n / (n - 1.0) ** 3) * (sqsq - n * wbar * wbar)
-    cov = wbar * (n / (n - 1.0))
-    cov = (cov + cov.T) / 2.0
-    tgt = shrinkage_target(cov, target, blankertz_scale)
     diff = cov - tgt
     if target == "schafer":
         off = ~np.eye(cov.shape[0], dtype=bool)
@@ -325,18 +326,16 @@ def shrinkage_with_kappa(trial, spec):
     :class:`Trial` or the :class:`Moments` of one.
 
     An explicit ``spec.kappa`` is used as-is; with ``kappa=None`` the
-    analytic intensity (:func:`_kappa`) is applied. The SCM and the
-    analytic kappa share one centered Gram matrix.
+    analytic intensity (:func:`_kappa`) is applied. The analytic kappa
+    reads the same SCM and target that are shrunk.
     """
     if spec.kind != "shrinkage":
         raise ValidationError("spec.kind must be 'shrinkage'")
-    n, gram, sqsq = _centered_sums(trial, fourth=spec.kappa is None)
-    cov = gram / (n - 1)
-    cov = (cov + cov.T) / 2.0
+    cov, sums = _scm(trial, fourth=spec.kappa is None)
     tgt = shrinkage_target(cov, spec.target, spec.blankertz_scale)
     kappa = spec.kappa
     if kappa is None:
-        kappa = _kappa(n, gram, sqsq, spec.target, spec.blankertz_scale)
+        kappa = _kappa(*sums, cov, tgt, spec.target)
     shrunk = kappa * tgt + (1.0 - kappa) * cov
     return (shrunk + shrunk.T) / 2.0, kappa
 

@@ -29,6 +29,9 @@ EIG_REJECT_RTOL = 1e-10
 
 DEFAULT_MEAN_TOLERANCE = 1e-8
 DEFAULT_MEAN_MAX_ITERATIONS = 200
+# karcher_mean solves at most this many problems in lockstep at a time, so
+# its temporaries stay bounded however many it is given
+_MEAN_CHUNK = 128
 
 
 def _as_square(a, name):
@@ -49,19 +52,12 @@ def symmetrize(a, name="matrix"):
     """Return (A + A^T)/2 after checking A is finite and symmetric within
     tolerance.
 
-    Asymmetry is measured as ||A - A^T||_F relative to ||A||_F. Below the
-    tolerance it is considered floating-point noise and silently repaired;
-    beyond it the input is rejected rather than repaired.
+    Asymmetry is measured as ||A - A^T||_F relative to ||A||_F, whatever
+    the scale of A. Below the tolerance it is considered floating-point
+    noise and silently repaired; beyond it the input is rejected rather
+    than repaired.
     """
-    a = _as_square(a, name)
-    norm = np.linalg.norm(a)
-    _check_finite_norm(norm, a, name)
-    asym = np.linalg.norm(a - a.T)
-    if asym > SYMMETRY_RTOL * max(norm, 1.0):
-        raise ValidationError(
-            f"{name} is not symmetric: relative asymmetry {asym / max(norm, 1e-300):.3e}"
-        )
-    return (a + a.T) / 2.0
+    return _symmetrize_stack(_as_square(a, name)[None], [name])[0]
 
 
 def _symmetrize_stack(stack, names):
@@ -74,7 +70,7 @@ def _symmetrize_stack(stack, names):
             _check_finite_norm(norm[i], stack[i], names[i])
     diff = stack - stack_t
     asym = np.sqrt(np.einsum("kij,kij->k", diff, diff))
-    bad = asym > SYMMETRY_RTOL * np.maximum(norm, 1.0)
+    bad = asym > SYMMETRY_RTOL * norm
     if bad.any():
         i = int(np.argmax(bad))
         raise ValidationError(
@@ -135,17 +131,9 @@ def _check_same_dim(a, b):
         raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
 
 
-def _clamped_positive(w, name):
-    """Clamp roundoff-negative eigenvalues of a whitened spectrum."""
-    top = w[-1]
-    if top <= 0.0 or w[0] < -EIG_REJECT_RTOL * top:
-        raise ValidationError(f"{name} is not positive definite")
-    return np.maximum(w, top * EIG_FLOOR_RTOL)
-
-
 def _clamped_rows(w, names):
-    """:func:`_clamped_positive` over each row of a stack of spectra, in one
-    vectorized pass; the error names the first row it rejects."""
+    """Clamp roundoff-negative eigenvalues of each row of a stack of
+    whitened spectra; the error names the first row it rejects."""
     top = w[:, -1:]
     bad = (top[:, 0] <= 0.0) | (w[:, 0] < -EIG_REJECT_RTOL * top[:, 0])
     if bad.any():
@@ -163,6 +151,14 @@ def _whitened_logs(inv_half, points, names):
     return _spectral(_clamped_rows(w, names), u, np.log)
 
 
+def _exp_at(half, tangent):
+    """``B^1/2 Exp(S) B^1/2``, symmetrized, given ``half = B^1/2`` and the
+    tangent S whitened at B (symmetrized here), or stacks of both."""
+    tangent = (tangent + np.swapaxes(tangent, -1, -2)) / 2.0
+    out = half @ _spectral(*np.linalg.eigh(tangent), np.exp) @ half
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
+
+
 def exp_map(base, tangent):
     """Map a tangent (symmetric) matrix at ``base`` onto the manifold.
 
@@ -173,9 +169,7 @@ def exp_map(base, tangent):
     _check_same_dim(base, tangent)
     tangent = symmetrize(tangent, "tangent")
     half, inv_half = _whitening(base, "base")
-    inner = inv_half @ tangent @ inv_half
-    out = half @ matrix_exp((inner + inner.T) / 2.0) @ half
-    return (out + out.T) / 2.0
+    return _exp_at(half, inv_half @ tangent @ inv_half)
 
 
 def log_map(base, point):
@@ -259,7 +253,7 @@ class FactoredStack:
         the ones :func:`distance` takes, and only squared logs count."""
         white = self.inv_chol @ p1 @ self.inv_chol_t
         w = np.linalg.eigvalsh((white + white.transpose(0, 2, 1)) / 2.0)
-        w = np.array([_clamped_positive(row, "p1") for row in w])
+        w = _clamped_rows(w, ["p1"] * len(w))
         return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
 
 
@@ -370,10 +364,10 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
     points : sequence of ndarray, or ndarray of shape (R, N, C, C)
         Nonempty collection of SPD matrices of equal dimension, or R
         independent problems of N points each. The problems are solved in
-        lockstep, each with its own iterate, step scale, backoff and
-        stopping test, so each result equals the one-problem call bit
-        for bit; points that are bitwise equal within a problem share one
-        whitened log per iteration.
+        lockstep, a fixed number at a time, each with its own iterate, step
+        scale, backoff and stopping test, so each result equals the
+        one-problem call bit for bit; points that are bitwise equal within
+        a problem share one whitened log per iteration.
     tolerance : float
         Frobenius-norm threshold on the mean tangent step.
     max_iterations : int
@@ -404,12 +398,42 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
             raise ValidationError(
                 f"points[{i}] has dim {m.shape[0]}, expected {dim}")
     pts = np.array(mats)
+    del mats
     count, n = pts.shape[:2]
     if n == 1:
         for r in range(count):
             _eigh_spd(pts[r, 0], name(r, 0))
         return pts[:, 0] if batch else pts[0, 0]
+    result = np.empty((count, dim, dim))
+    residual = np.empty(count)
+    for lo in range(0, count, _MEAN_CHUNK):
+        part = slice(lo, lo + _MEAN_CHUNK)
+        result[part], residual[part] = _lockstep_mean(
+            pts[part], lo, name, tolerance, max_iterations)
+    stalled = ~(residual < tolerance)
+    if not stalled.any():
+        return result if batch else result[0]
+    if not batch:
+        raise ConvergenceError(
+            f"geometric mean did not converge in {max_iterations} iterations "
+            f"(residual {residual[0]:.3e}, tolerance {tolerance:.3e})",
+            last_iterate=result[0],
+            residual=float(residual[0]),
+        )
+    raise ConvergenceError(
+        f"geometric mean of {np.count_nonzero(stalled)} of {count} problems "
+        f"did not converge in {max_iterations} iterations (largest residual "
+        f"{np.max(residual[stalled]):.3e}, tolerance {tolerance:.3e})",
+        last_iterate=result,
+        residual=residual,
+    )
 
+
+def _lockstep_mean(pts, lo, name, tolerance, max_iterations):
+    """The means and final residuals of the problems ``lo, lo + 1, ...``
+    of :func:`karcher_mean`, given their (R, N, C, C) symmetrized points;
+    a stalled problem's entries are its last iterate and residual."""
+    count, n = pts.shape[:2]
     # Only the distinct points of each problem are kept, in order: owner
     # is the active problem each belongs to, and where[r, i] the row of
     # point i of active problem r among them.
@@ -422,9 +446,8 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
                 first.append((r, i))
     owner = np.array([r for r, _ in first])
     members = pts[owner, [i for _, i in first]]
-    member_names = np.array([name(r, i) for r, i in first], dtype=object)
+    member_names = np.array([name(lo + r, i) for r, i in first], dtype=object)
     mean = _point_mean(pts)
-    del mats, pts
     result = np.empty_like(mean)
     final_residual = np.full(count, np.inf)
     active = np.arange(count)
@@ -452,7 +475,7 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
                 a[keep] for a in (active, mean, half, step, residual, scale))
             previous = tuple(a if a is None else a[keep] for a in previous)
             if not len(active):
-                return result if batch else result[0]
+                return result, final_residual
             kept = keep[owner]
             members, member_names = members[kept], member_names[kept]
             owner = (np.cumsum(keep) - 1)[owner[kept]]
@@ -469,26 +492,10 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
         scale = np.where(back, scale * 0.5, np.minimum(1.0, scale * 2.0))
         previous = (half, step, residual)
 
-        tangent = _symmetrize_stack(scale[:, None, None] * step,
-                                    ["tangent matrix"] * len(active))
-        mean = half @ _spectral(*np.linalg.eigh(tangent), np.exp) @ half
-        mean = (mean + mean.transpose(0, 2, 1)) / 2.0
+        mean = _exp_at(half, scale[:, None, None] * step)
     result[active] = mean
     final_residual[active] = residual
-    if not batch:
-        raise ConvergenceError(
-            f"geometric mean did not converge in {max_iterations} iterations "
-            f"(residual {residual[0]:.3e}, tolerance {tolerance:.3e})",
-            last_iterate=result[0],
-            residual=float(residual[0]),
-        )
-    raise ConvergenceError(
-        f"geometric mean of {len(active)} of {count} problems did not "
-        f"converge in {max_iterations} iterations (largest residual "
-        f"{np.max(residual):.3e}, tolerance {tolerance:.3e})",
-        last_iterate=result,
-        residual=final_residual,
-    )
+    return result, final_residual
 
 
 def condition_ratio(p):

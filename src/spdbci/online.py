@@ -16,7 +16,9 @@ Each epoch is classified against the trained class centers; the last
   hold a fraction strictly above ``theta``;
 * curve direction: the summed consecutive differences of the candidate
   class's normalized distance over those epochs must be negative, i.e.
-  the covariance trajectory is moving toward that class center.
+  the covariance trajectory is moving toward that class center. The sum
+  telescopes to the last epoch's value minus the first's, so it is 0 at
+  depth 1 and that gate never passes there.
 
 A decision is emitted only when the gates pass; the label/distance
 history is then cleared so one sustained response cannot fire twice
@@ -80,31 +82,25 @@ def occurrence(labels, class_count):
     epochs labelled k and the candidate is the most recurrent label
     (ties to the lowest index).
     """
-    labels = list(labels)
-    if not labels:
+    labels = np.asarray(list(labels), dtype=int)
+    if not labels.size:
         raise ValidationError("occurrence needs at least one label")
-    rho = np.zeros(class_count)
-    for lab in labels:
-        rho[lab - 1] += 1.0
-    rho /= len(labels)
+    rho = np.bincount(labels - 1, minlength=class_count) / labels.size
     return rho, int(np.argmax(rho)) + 1
 
 
 def curve_criterion(deltas, candidate):
     """Sum of consecutive differences of the candidate's normalized distance.
 
-    ``deltas`` is the last-d sequence of normalized distance vectors.
-    Returns ``(value, passed)``; the gate passes when the sum is strictly
-    negative (trajectory approaching the candidate center).
+    ``deltas`` is the last-d sequence of normalized distance vectors. The
+    sum telescopes to the last one's entry minus the first one's, so one
+    epoch gives 0. Returns ``(value, passed)``; the gate passes when the
+    sum is strictly negative (trajectory approaching the candidate center).
     """
-    deltas = list(deltas)
-    if len(deltas) < 2:
-        raise ValidationError("curve criterion needs at least two epochs")
-    series = [vec[candidate - 1] for vec in deltas]
-    value = 0.0
-    for j in range(1, len(series)):
-        value += series[j] - series[j - 1]
-    return float(value), value < 0.0
+    if not len(deltas):
+        raise ValidationError("curve criterion needs at least one epoch")
+    value = float(deltas[-1][candidate - 1] - deltas[0][candidate - 1])
+    return value, value < 0.0
 
 
 class _WindowBuffer:
@@ -207,12 +203,7 @@ class _Gate:
         rho, candidate = occurrence(self.labels, len(dists))
         row["candidate"] = candidate
         row["rho"] = float(rho[candidate - 1])
-        if self.config.depth >= 2:
-            value, curve_ok = curve_criterion(self.deltas, candidate)
-        else:
-            # depth 1: the difference sum is empty, so the strict
-            # negativity gate can never pass.
-            value, curve_ok = 0.0, False
+        value, curve_ok = curve_criterion(self.deltas, candidate)
         row["delta"] = value
         if not (rho[candidate - 1] > self.config.theta
                 and (curve_ok or not self.config.curve_criterion)):

@@ -309,6 +309,55 @@ def test_factored_distances_match_plain_stack(case):
         assert label == int(np.argmin(plain)) + 1
 
 
+def _conditioned_matrix(rng, dim, log10_cond):
+    """Random invertible matrix whose singular values span exactly
+    10**log10_cond, at a random scale between 1e-2 and 1e2."""
+    q1, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q2, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    exps = np.concatenate([[0.0, log10_cond],
+                           rng.uniform(0.0, log10_cond, dim - 2)])
+    return (q1 * 10.0 ** (exps + rng.uniform(-2.0, 2.0))) @ q2
+
+
+# (seed, dim, log10 of each matrix's condition number, up to 4); over
+# 15 000 random such pairs the properties below held to 3.8e-10 relative
+# (symmetry, factored path) and 6.4e-10 (affine invariance)
+_conditioned_pairs = st.tuples(st.integers(0, 2 ** 32 - 1),
+                               st.integers(2, 12), st.floats(0.0, 4.0))
+
+
+def _pair(case):
+    seed, dim, log10_cond = case
+    rng = np.random.default_rng(seed)
+    a, b = (_conditioned_spd(rng, dim, log10_cond) for _ in range(2))
+    return rng, a, b, manifold.distance(a, b)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=_conditioned_pairs)
+def test_distance_is_symmetric(case):
+    _, a, b, d = _pair(case)
+    assert_allclose(manifold.distance(b, a), d, rtol=1e-9, atol=0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=_conditioned_pairs, share=st.floats(0.0, 1.0))
+def test_distance_is_affine_invariant(case, share):
+    rng, a, b, d = _pair(case)
+    # W's condition number squared times each matrix's stays within 1e4
+    w = _conditioned_matrix(rng, len(a), share * (4.0 - case[2]) / 2.0)
+    assert_allclose(manifold.distance(w @ a @ w.T, w @ b @ w.T), d,
+                    rtol=1e-9, atol=0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=_conditioned_pairs)
+def test_factored_distance_equals_plain_distance(case):
+    _, a, b, d = _pair(case)
+    assert_allclose(manifold.distance(a, manifold.FactoredStack([b])), [d],
+                    rtol=1e-9, atol=0)
+
+
 def _non_pd(p):
     """``p`` with its smallest eigenvalue replaced by minus half its largest."""
     w, u = np.linalg.eigh(p)
@@ -477,17 +526,10 @@ _mean_batches = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(1, 6),
                           st.sampled_from([2, 6, 200]))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(case=_mean_batches)
-def test_batch_means_match_single_means_bitwise(case):
-    seed, r, n, dim, log10_cond, tol, cap = case
-    rng = np.random.default_rng(seed)
-    # each problem draws its n points from n matrices with replacement,
-    # so bitwise duplicates are common
-    pools = [[_conditioned_spd(rng, dim, log10_cond) for _ in range(n)]
-             for _ in range(r)]
-    points = np.array([[pool[j] for j in rng.integers(0, n, n)]
-                       for pool in pools])
+def _check_batch_against_single_means(points, tol, cap):
+    """The batch call on ``points`` equals one call per problem bit for
+    bit, a stalled problem's ``last_iterate`` and ``residual`` included."""
+    r, _, dim, _ = points.shape
     residual = None
     try:
         batch = manifold.karcher_mean(points, tol, cap)
@@ -508,6 +550,51 @@ def test_batch_means_match_single_means_bitwise(case):
     assert (residual is None) == (not stalled)
     if residual is not None:
         assert list(np.flatnonzero(~(residual < tol))) == stalled
+    return stalled
+
+
+def _mean_batch(rng, r, n, dim, log10_cond):
+    """r problems, each of n points drawn with replacement from n
+    matrices, so bitwise duplicates are common."""
+    pools = [[_conditioned_spd(rng, dim, log10_cond) for _ in range(n)]
+             for _ in range(r)]
+    return np.array([[pool[j] for j in rng.integers(0, n, n)]
+                     for pool in pools])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(case=_mean_batches)
+def test_batch_means_match_single_means_bitwise(case):
+    seed, r, n, dim, log10_cond, tol, cap = case
+    rng = np.random.default_rng(seed)
+    _check_batch_against_single_means(
+        _mean_batch(rng, r, n, dim, log10_cond), tol, cap)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(case=_mean_batches, chunk=st.integers(1, 4))
+def test_chunked_batch_means_match_single_means_bitwise(case, chunk):
+    seed, r, n, dim, log10_cond, tol, cap = case
+    rng = np.random.default_rng(seed)
+    # more problems than one chunk holds, and at least two points each
+    points = _mean_batch(rng, r + chunk, max(n, 2), dim, log10_cond)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifold, "_MEAN_CHUNK", chunk)
+        _check_batch_against_single_means(points, tol, cap)
+
+
+def test_chunked_batch_mean_keeps_the_stalls_of_each_chunk():
+    rng = np.random.default_rng(24)
+    base = random_spd(rng, 4)
+    tight = [base * (1.0 + 1e-9 * k) for k in range(3)]
+    spread = [random_spd(rng, 4, spread=2.0) for _ in range(3)]
+    # problems 1 and 4 stall, one in each of the chunks of three
+    points = np.array([tight, spread, tight, tight, spread])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(manifold, "_MEAN_CHUNK", 3)
+        assert _check_batch_against_single_means(points, 1e-8, 3) == [1, 4]
+        with pytest.raises(ConvergenceError, match="2 of 5 problems"):
+            manifold.karcher_mean(points, 1e-8, 3)
 
 
 def test_batch_mean_stall_keeps_the_converged_means():
@@ -557,6 +644,35 @@ def test_condition_ratio_matches_eigenvalue_oracle():
         w = np.linalg.eigvalsh(p)
         expected = w[-1] / w[0]
         assert manifold.condition_ratio(p) == pytest.approx(expected, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# symmetry check
+# ---------------------------------------------------------------------------
+
+def test_small_asymmetric_matrix_rejected():
+    # 47 % relative asymmetry, at the scale of covariances of data in volts
+    with pytest.raises(ValidationError, match="relative asymmetry 4.7"):
+        manifold.symmetrize(1e-12 * np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 8),
+       log10_scale=st.floats(-12.0, 6.0))
+def test_symmetry_check_is_relative_at_any_scale(seed, dim, log10_scale):
+    rng = np.random.default_rng(seed)
+    sym = _conditioned_spd(rng, dim, 2.0)
+    sym = (sym + sym.T) * (0.5 * 10.0 ** log10_scale / np.linalg.norm(sym))
+    skew = rng.standard_normal((dim, dim))
+    skew -= skew.T
+    # ||A - A^T||_F is 1e-3 ||sym||_F, and ||A||_F is ||sym||_F to 1e-6
+    bad = sym + (0.5e-3 * np.linalg.norm(sym) / np.linalg.norm(skew)) * skew
+    assert np.array_equal(manifold.symmetrize(sym), sym)
+    assert manifold.distance(sym, manifold.FactoredStack([sym]))[0] < 1e-12
+    with pytest.raises(ValidationError, match="relative asymmetry 1.00"):
+        manifold.symmetrize(bad)
+    with pytest.raises(ValidationError, match=r"p2\[0\] is not symmetric"):
+        manifold.FactoredStack([bad])
 
 
 # ---------------------------------------------------------------------------

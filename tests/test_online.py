@@ -72,6 +72,15 @@ def test_curve_constant_fails():
     assert not ok
 
 
+def test_curve_of_one_epoch_is_zero_and_fails():
+    assert online.curve_criterion([np.array([0.3, 0.7])], 2) == (0.0, False)
+
+
+def test_curve_needs_an_epoch():
+    with pytest.raises(ValidationError, match="at least one epoch"):
+        online.curve_criterion([], 1)
+
+
 def test_curve_telescoping_identity():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -566,6 +575,19 @@ def test_regate_equals_fresh_replay(carryover_scored, curve, depth, theta):
             field.name
     assert fresh.decisions
     assert scored == before
+
+
+def test_depth_one_holds_every_trial_back_on_the_curve(carryover_scored):
+    model, test, scored = carryover_scored
+    config = OnlineConfig(depth=1)
+    again = online.regate(scored, config)
+    assert again == online.evaluate_stream(test, model, config)
+    assert not again.decisions
+    assert again.held_back_count == len(test.trials)
+    assert all(row["delta"] == 0.0 for row in again.epoch_log)
+    # the occurrence gate alone decides at depth 1
+    assert online.regate(scored, OnlineConfig(depth=1, curve_criterion=False)
+                         ).decisions
 
 
 @pytest.mark.parametrize("change", [{"window_seconds": 3.0},
