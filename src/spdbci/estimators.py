@@ -7,12 +7,13 @@ C x N array (channels x samples); every estimator centers it with the
 sample mean over time before forming second moments.
 
 The SCM and the shrinkage estimators depend on a trial only through its
-moment sums up to the fourth order, so they also accept the summed
-:class:`Moments` of a window's blocks (see :data:`MOMENT_KINDS`).
+moment sums up to the fourth order, so they also accept the :class:`Moments`
+of a window's blocks, or of E equal windows stacked (:data:`MOMENT_KINDS`).
 """
 
 import warnings
 from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -84,11 +85,11 @@ class Trial:
 class Moments:
     """Sums over a window of samples of ``z z^T``, with ``z = [1; x; x*x]``.
 
-    ``sums`` is one (2C+1) x (2C+1) matrix. Its first row holds the
-    sample count and the sums of ``x`` and ``x*x``; the rest holds the
-    product sums of ``x`` up to the fourth order. The sums of disjoint
-    windows add, so the moments of a sliding window are those of the
-    blocks it spans.
+    ``sums`` is one (2C+1) x (2C+1) matrix, or a stack of E (``samples``
+    is then their total). Its first row holds the sample count and the
+    sums of ``x`` and ``x*x``; the rest holds the product sums of ``x`` up
+    to the fourth order. The sums of disjoint windows add, so the moments
+    of a sliding window are those of the blocks it spans.
     """
 
     sums: np.ndarray
@@ -108,11 +109,11 @@ class Moments:
 
     @property
     def channels(self):
-        return (self.sums.shape[0] - 1) // 2
+        return (self.sums.shape[-1] - 1) // 2
 
     @property
     def samples(self):
-        return int(self.sums[0, 0])
+        return int(self.sums[..., 0, 0].sum())
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,8 @@ def spec_from_name(name, kappa=EstimatorSpec.kappa,
     raise ValidationError(f"unknown estimator name {name!r}")
 
 
-def _check_samples(data):
-    if data.samples < 2:
+def _check_samples(n):
+    if n < 2:
         raise ValidationError("covariance estimation needs at least 2 samples")
 
 
@@ -186,7 +187,7 @@ def _centered(trial):
         raise ValidationError(
             "this estimator weights each sample by its distance from the "
             "window mean, so it needs the samples, not their Moments")
-    _check_samples(trial)
+    _check_samples(trial.samples)
     x = trial.values
     return x - x.mean(axis=1, keepdims=True)
 
@@ -199,7 +200,8 @@ def _scm(data, fourth=False):
 
     From moments both are congruences of the sums: ``x - m = B z`` with
     ``B = [-m | I | 0]`` and ``(x-m)^2 = A z`` with
-    ``A = [m^2 | -2 diag(m) | I]``.
+    ``A = [m^2 | -2 diag(m) | I]``. Stacked Moments give stacks of all
+    but ``n``, the windows' common count.
     """
     sqsq = None
     if not isinstance(data, Moments):
@@ -209,19 +211,24 @@ def _scm(data, fourth=False):
             sq = xc * xc
             sqsq = sq @ sq.T
     else:
-        _check_samples(data)
-        n, c, sums = data.samples, data.channels, data.sums
-        m = sums[0, 1:c + 1] / n
+        c, sums = data.channels, data.sums
+        n, counts = int(sums.flat[0]), sums[..., 0, 0]
+        if counts.size > 1 and (counts != n).any():
+            raise ValidationError("stacked Moments need windows of one length")
+        _check_samples(n)
+        m = sums[..., 0, 1:c + 1] / n
         x, sq = slice(1, c + 1), slice(c + 1, None)
         # the congruences one block row and column at a time
-        bm = sums[x] - m[:, None] * sums[0]
-        gram = bm[:, x] - bm[:, :1] * m
+        bm = sums[..., x, :] - m[..., None] * sums[..., :1, :]
+        gram = bm[..., x] - bm[..., :1] * m[..., None, :]
         if fourth:
             mm = m * m
-            am = sums[sq] - 2.0 * m[:, None] * sums[x] + mm[:, None] * sums[0]
-            sqsq = am[:, sq] - 2.0 * am[:, x] * m + am[:, :1] * mm
+            am = sums[..., sq, :] - 2.0 * m[..., None] * sums[..., x, :] \
+                + mm[..., None] * sums[..., :1, :]
+            sqsq = am[..., sq] - 2.0 * am[..., x] * m[..., None, :] \
+                + am[..., :1] * mm[..., None, :]
     cov = gram / (n - 1)
-    return (cov + cov.T) / 2.0, (n, gram, sqsq)
+    return (cov + cov.swapaxes(-1, -2)) / 2.0, (n, gram, sqsq)
 
 
 def scm(trial):
@@ -230,19 +237,20 @@ def scm(trial):
 
     Always symmetric and positive semidefinite; strictly positive definite
     only when there are more (non-degenerate) samples than channels. A
-    numerically rank-deficient result triggers
+    numerically rank-deficient result (each of a stack) triggers
     :class:`RankDeficientCovarianceWarning` instead of silent repair.
     """
     cov, (n, _, _) = _scm(trial)
     w = np.linalg.eigvalsh(cov)
-    if w[-1] <= 0.0 or w[0] < RANK_DEFICIENCY_RTOL * w[-1]:
-        warnings.warn(
-            f"sample covariance is rank deficient (eigenvalue range "
-            f"[{w[0]:.3e}, {w[-1]:.3e}], {trial.channels} channels, "
-            f"{n} samples)",
-            RankDeficientCovarianceWarning,
-            stacklevel=2,
-        )
+    for low, high in w.reshape(-1, w.shape[-1])[:, [0, -1]]:
+        if high <= 0.0 or low < RANK_DEFICIENCY_RTOL * high:
+            warnings.warn(
+                f"sample covariance is rank deficient (eigenvalue range "
+                f"[{low:.3e}, {high:.3e}], {trial.channels} channels, "
+                f"{n} samples)",
+                RankDeficientCovarianceWarning,
+                stacklevel=2,
+            )
     return cov
 
 
@@ -277,17 +285,26 @@ def shrinkage_target(cov, target,
     ``ledoit``: v*I with v the trace of the SCM. ``blankertz``: v*I with
     v the trace divided by C(C+1)/2 (or by C with
     ``blankertz_scale='channels'``). ``schafer``: the diagonal of the SCM,
-    which keeps per-channel scale heterogeneity.
+    which keeps per-channel scale heterogeneity. Stacks give stacks.
     """
-    c = cov.shape[0]
+    c = cov.shape[-1]
+    if target == "schafer":
+        return np.where(_off_diagonal(c), 0.0, cov)
+    trace = cov.trace(axis1=-2, axis2=-1)[..., None, None]
     if target == "ledoit":
-        return np.trace(cov) * np.eye(c)
+        return trace * np.eye(c)
     if target == "blankertz":
         denom = c * (c + 1) / 2.0 if blankertz_scale == "matrix_space" else float(c)
-        return (np.trace(cov) / denom) * np.eye(c)
-    if target == "schafer":
-        return np.diag(np.diag(cov))
+        return (trace / denom) * np.eye(c)
     raise ValidationError(f"unknown shrinkage target {target!r}")
+
+
+@cache
+def _off_diagonal(c):
+    """Read-only (C, C) mask of the off-diagonal entries, shared per C."""
+    mask = ~np.eye(c, dtype=bool)
+    mask.setflags(write=False)
+    return mask
 
 
 def _kappa(n, gram, sqsq, cov, tgt, target):
@@ -302,22 +319,22 @@ def _kappa(n, gram, sqsq, cov, tgt, target):
     The variance of the SCM entries follows the usual unbiased
     construction: with ``w_nij`` the product of centered channel samples
     and ``wbar`` its time average,
-    ``Var(scm_ij) ~= n/(n-1)^3 * sum_n (w_nij - wbar_ij)^2``.
+    ``Var(scm_ij) ~= n/(n-1)^3 * sum_n (w_nij - wbar_ij)^2``. Stacks give
+    arrays, each window summed alone (numpy orders an axis sum otherwise).
     """
+    c = cov.shape[-1]
     wbar = gram / n
     var = (n / (n - 1.0) ** 3) * (sqsq - n * wbar * wbar)
     diff = cov - tgt
-    if target == "schafer":
-        off = ~np.eye(cov.shape[0], dtype=bool)
-        num = float(np.sum(var[off]))
-        den = float(np.sum(diff[off] ** 2))
-    else:
-        num = float(np.sum(var))
-        den = float(np.sum(diff ** 2))
-    if den <= 0.0:
-        return 0.0
-    # Python min/max: np.clip on a scalar costs microseconds per epoch
-    return min(max(num / den, 0.0), KAPPA_MAX)
+    counted = _off_diagonal(c) if target == "schafer" else ...
+    kappa = []
+    for v, d in zip(var.reshape(-1, c, c), diff.reshape(-1, c, c)):
+        num = float(v[counted].sum())
+        den = float((d[counted] ** 2).sum())
+        # Python min/max: np.clip on a scalar costs microseconds per epoch
+        kappa.append(min(max(num / den, 0.0), KAPPA_MAX) if den > 0.0
+                     else 0.0)
+    return np.array(kappa).reshape(cov.shape[:-2])
 
 
 def shrinkage_with_kappa(trial, spec):
@@ -327,7 +344,8 @@ def shrinkage_with_kappa(trial, spec):
 
     An explicit ``spec.kappa`` is used as-is; with ``kappa=None`` the
     analytic intensity (:func:`_kappa`) is applied. The analytic kappa
-    reads the same SCM and target that are shrunk.
+    reads the same SCM and target that are shrunk. Stacked Moments give
+    the stack of estimates and, for the analytic kappa, the weights' array.
     """
     if spec.kind != "shrinkage":
         raise ValidationError("spec.kind must be 'shrinkage'")
@@ -336,8 +354,10 @@ def shrinkage_with_kappa(trial, spec):
     kappa = spec.kappa
     if kappa is None:
         kappa = _kappa(*sums, cov, tgt, spec.target)
-    shrunk = kappa * tgt + (1.0 - kappa) * cov
-    return (shrunk + shrunk.T) / 2.0, kappa
+    weight = np.asarray(kappa)[..., None, None]
+    shrunk = weight * tgt + (1.0 - weight) * cov
+    kappa = float(kappa) if cov.ndim == 2 else kappa
+    return (shrunk + shrunk.swapaxes(-1, -2)) / 2.0, kappa
 
 
 def _fixed_point_step(xc, sigma):
@@ -386,8 +406,8 @@ def fixed_point(trial, spec):
 def estimate(trial, spec):
     """Dispatch a trial to the estimator described by ``spec``.
 
-    ``trial`` is a :class:`Trial`, or the :class:`Moments` of one when
-    ``spec.kind`` is in :data:`MOMENT_KINDS`.
+    ``trial`` is a :class:`Trial`, or the :class:`Moments` of one, or of
+    a stack of windows, when ``spec.kind`` is in :data:`MOMENT_KINDS`.
     """
     if spec.kind == "scm":
         return scm(trial)

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, NumericalError, ValidationError
 
 SYMMETRY_RTOL = 1e-10
 
@@ -26,6 +26,8 @@ SYMMETRY_RTOL = 1e-10
 # negative is a genuinely non-definite input.
 EIG_FLOOR_RTOL = 1e-15
 EIG_REJECT_RTOL = 1e-10
+# the largest eigenvalue whose exp is finite in float64
+_EXP_MAX = math.log(np.finfo(float).max)
 
 DEFAULT_MEAN_TOLERANCE = 1e-8
 DEFAULT_MEAN_MAX_ITERATIONS = 200
@@ -39,13 +41,6 @@ def _as_square(a, name):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"{name} must be a square 2-D array, got shape {a.shape}")
     return a
-
-
-def _check_finite_norm(norm, a, name):
-    """Reject a matrix with a NaN or infinite entry, given its Frobenius
-    norm: such a norm is never finite, so only then are entries scanned."""
-    if not math.isfinite(norm) and not np.isfinite(a).all():
-        raise ValidationError(f"{name} has non-finite entries")
 
 
 def symmetrize(a, name="matrix"):
@@ -65,9 +60,11 @@ def _symmetrize_stack(stack, names):
     the error names the first offending matrix."""
     stack_t = stack.transpose(0, 2, 1)
     norm = np.sqrt(np.einsum("kij,kij->k", stack, stack))
+    # a NaN or inf entry leaves the norm non-finite; only then scan entries
     if not np.isfinite(norm).all():
         for i in np.flatnonzero(~np.isfinite(norm)):
-            _check_finite_norm(norm[i], stack[i], names[i])
+            if not np.isfinite(stack[i]).all():
+                raise ValidationError(f"{names[i]} has non-finite entries")
     diff = stack - stack_t
     asym = np.sqrt(np.einsum("kij,kij->k", diff, diff))
     bad = asym > SYMMETRY_RTOL * norm
@@ -98,6 +95,13 @@ def _spectral(w, u, f):
     return (u * f(w)[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
+def _exp(w):
+    """``exp`` of tangent spectra; an eigenvalue it overflows raises."""
+    if (w > _EXP_MAX).any():
+        raise NumericalError(f"tangent eigenvalue {np.max(w):.6g} overflows exp")
+    return np.exp(w)
+
+
 def _whitening(p, name):
     """``(P^1/2, P^-1/2)`` from one eigendecomposition of the SPD matrix P,
     or of each matrix of a (K, C, C) stack."""
@@ -107,8 +111,9 @@ def _whitening(p, name):
 
 
 def matrix_exp(s):
-    """Matrix exponential of a symmetric matrix; the result is SPD."""
-    return _spectral(*np.linalg.eigh(symmetrize(s, "tangent matrix")), np.exp)
+    """Matrix exponential of a symmetric matrix; the result is SPD. An
+    eigenvalue above ~709.78 overflows exp and raises NumericalError."""
+    return _spectral(*np.linalg.eigh(symmetrize(s, "tangent matrix")), _exp)
 
 
 def matrix_log(p):
@@ -132,13 +137,13 @@ def _check_same_dim(a, b):
 
 
 def _clamped_rows(w, names):
-    """Clamp roundoff-negative eigenvalues of each row of a stack of
-    whitened spectra; the error names the first row it rejects."""
-    top = w[:, -1:]
-    bad = (top[:, 0] <= 0.0) | (w[:, 0] < -EIG_REJECT_RTOL * top[:, 0])
+    """Clamp roundoff-negative eigenvalues of a stack of whitened spectra
+    (last axis), split evenly among ``names``; errors name the first."""
+    top = w[..., -1:]
+    bad = (top[..., 0] <= 0.0) | (w[..., 0] < -EIG_REJECT_RTOL * top[..., 0])
     if bad.any():
-        raise ValidationError(
-            f"{names[int(np.argmax(bad))]} is not positive definite")
+        first = np.argmax(bad.reshape(len(names), -1).any(axis=1))
+        raise ValidationError(f"{names[int(first)]} is not positive definite")
     return np.maximum(w, top * EIG_FLOOR_RTOL)
 
 
@@ -155,14 +160,15 @@ def _exp_at(half, tangent):
     """``B^1/2 Exp(S) B^1/2``, symmetrized, given ``half = B^1/2`` and the
     tangent S whitened at B (symmetrized here), or stacks of both."""
     tangent = (tangent + np.swapaxes(tangent, -1, -2)) / 2.0
-    out = half @ _spectral(*np.linalg.eigh(tangent), np.exp) @ half
+    out = half @ _spectral(*np.linalg.eigh(tangent), _exp) @ half
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 def exp_map(base, tangent):
     """Map a tangent (symmetric) matrix at ``base`` onto the manifold.
 
-    Computes ``base^1/2 Exp(base^-1/2 S base^-1/2) base^1/2``.
+    Computes ``base^1/2 Exp(base^-1/2 S base^-1/2) base^1/2``; a whitened
+    tangent whose exp overflows raises :class:`NumericalError`.
     """
     base = _as_square(base, "base")
     tangent = _as_square(tangent, "tangent")
@@ -247,15 +253,6 @@ class FactoredStack:
         self.inv_chol_t = np.ascontiguousarray(
             self.inv_chol.transpose(0, 2, 1))
 
-    def distances(self, p1):
-        """Distances from the symmetrized point ``p1`` to each reference:
-        the whitened spectra are those of ``p2_k^-1 p1``, the inverses of
-        the ones :func:`distance` takes, and only squared logs count."""
-        white = self.inv_chol @ p1 @ self.inv_chol_t
-        w = np.linalg.eigvalsh((white + white.transpose(0, 2, 1)) / 2.0)
-        w = _clamped_rows(w, ["p1"] * len(w))
-        return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
-
 
 def distance(p1, p2):
     """Affine-invariant geodesic distance from ``p1`` to ``p2``.
@@ -277,14 +274,9 @@ def distance(p1, p2):
 
     ``p2`` may also be a :class:`FactoredStack`, for many ``p1`` against
     fixed references: each reference's own factor whitens ``p1`` and the
-    array of K distances agrees with the plain stack's to roundoff.
+    array of K distances agrees with the plain stack's to roundoff. All
+    T*K spectra of a (T, C, C) ``p1`` go through one ``eigvalsh`` too.
     """
-    if isinstance(p2, FactoredStack):
-        p1 = symmetrize(p1, "p1")
-        if p2.inv_chol.shape[1:] != p1.shape:
-            raise ValidationError(
-                f"dimension mismatch: {p1.shape} vs {p2.inv_chol.shape}")
-        return p2.distances(p1)
     p1 = np.asarray(p1, dtype=float)
     if p1.ndim == 3 and p1.shape[1] == p1.shape[2] and len(p1):
         p1_names = [f"p1[{t}]" for t in range(len(p1))]
@@ -292,6 +284,15 @@ def distance(p1, p2):
     else:
         p1_names = ["p1"]
         points = symmetrize(p1, "p1")[None]
+    if isinstance(p2, FactoredStack):
+        if p2.inv_chol.shape[1:] != points.shape[1:]:
+            raise ValidationError(
+                f"dimension mismatch: {p1.shape} vs {p2.inv_chol.shape}")
+        # the spectra of p2_k^-1 p1, inverse to those below
+        white = p2.inv_chol @ points[:, None] @ p2.inv_chol_t
+        w = np.linalg.eigvalsh((white + white.swapaxes(-1, -2)) / 2.0)
+        d = np.sqrt((np.log(_clamped_rows(w, p1_names)) ** 2).sum(axis=-1))
+        return d if p1.ndim == 3 else d[0]
     dim = points.shape[1:]
     p2 = np.asarray(p2, dtype=float)
     if p2.ndim not in (2, 3) or p2.shape[-2:] != dim or not p2.size:

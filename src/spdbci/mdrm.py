@@ -257,12 +257,12 @@ def classify_covariance(cov, model):
     """Nearest class center for a precomputed covariance.
 
     Returns ``(label, distances)`` with all class distances so callers
-    can normalize or gate on them. Exact ties go to the lowest class
-    index.
+    can normalize or gate on them (exact ties go to the lowest class), or
+    E labels and (E, K) distances for a stack of E covariances.
     """
-    if cov.shape[0] != model.dim:
+    if cov.shape[-1] != model.dim:
         raise ValidationError(
-            f"covariance dim {cov.shape[0]} does not match model dim "
+            f"covariance dim {cov.shape[-1]} does not match model dim "
             f"{model.dim}")
     return nearest_center(cov, model.factors)
 
@@ -274,12 +274,13 @@ def nearest_center(cov, centers):
 
     ``centers`` is a :class:`~spdbci.manifold.FactoredStack` (a model's
     :attr:`ClassModel.factors`) or a sequence of SPD matrices, which is
-    factored first.
+    factored first. A stack of E gives E labels and (E, K) distances.
     """
     if not isinstance(centers, manifold.FactoredStack):
         centers = manifold.FactoredStack(centers, "centers")
     dists = manifold.distance(cov, centers)
-    return int(np.argmin(dists)) + 1, dists
+    labels = dists.argmin(axis=-1) + 1
+    return (labels if dists.ndim == 2 else int(labels)), dists
 
 
 def classify(trial, model, latency_override=None):

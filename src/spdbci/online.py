@@ -9,8 +9,8 @@ For the SCM and shrinkage estimators, the moment sums of each filtered
 block are taken once and an epoch's estimate is built from the sums of
 the blocks its window spans; the NSCM and the fixed point, which weight
 each sample by its distance from the window mean, read the window again.
-Each epoch is classified against the trained class centers; the last
-``d`` epoch labels and normalized distance profiles feed two gates:
+Epochs are classified, a push's as one stack, then gated in order; the
+last ``d`` epoch labels and normalized distance profiles feed two gates:
 
 * occurrence: the most recurrent label among the last ``d`` epochs must
   hold a fraction strictly above ``theta``;
@@ -39,6 +39,8 @@ from .estimators import MOMENT_KINDS, Moments, Trial, check_finite, estimate
 from .formats import write_csv
 from .mdrm import classify_covariance
 from .preprocessing import BandpassFilterBank, EpochPlan
+
+_SCORE_CHUNK = 64  # epochs per scored stack, bounding a push's temporaries
 
 
 @dataclass(frozen=True)
@@ -172,8 +174,8 @@ class _MomentRing:
         self._slot = (slot + 1) % self._q
 
     def last_window(self):
-        """The moments of the window that ends with the last block."""
-        return Moments(self._blocks.sum(axis=0) + self._head)
+        """The moment sums of the window that ends with the last block."""
+        return self._blocks.sum(axis=0) + self._head
 
 
 class _Gate:
@@ -252,7 +254,8 @@ class OnlineState:
         self._raw = np.empty((self.channels, 0))
         self._filtered = 0
         # the SCM and shrinkage estimates need only the window's moments
-        if model.estimator_spec.kind in MOMENT_KINDS:
+        self._moments = model.estimator_spec.kind in MOMENT_KINDS
+        if self._moments:
             self._buffer = _MomentRing(model.dim, self._w, self._step)
         else:
             self._buffer = _WindowBuffer(model.dim, self._w, self.sample_rate)
@@ -269,8 +272,8 @@ class OnlineState:
         filter runs in blocks of the plan's grid (see
         :meth:`~spdbci.preprocessing.EpochPlan.grid_blocks`), so neither
         the decisions nor any bit of the epoch log depends on how the
-        stream is chopped into frames. An epoch is scored as soon as its
-        last sample arrives.
+        stream is chopped into frames. The epochs a push completes are
+        scored together, :data:`_SCORE_CHUNK` at a time, before it returns.
         """
         frame = np.asarray(frame, dtype=float)
         if frame.ndim == 1:
@@ -282,7 +285,7 @@ class OnlineState:
         check_finite(frame, "frame")
         self.samples_seen += frame.shape[1]
         raw = np.hstack([self._raw, frame])
-        decisions = []
+        decisions, pending = [], []
         pos = 0
         while raw.shape[1] - pos >= self._next_block:
             block = raw[:, pos:pos + self._next_block]
@@ -292,21 +295,36 @@ class OnlineState:
             self._buffer.append(self._bank.process(block))
             # from the first window on, every block boundary ends an epoch
             if self._filtered >= self._w:
-                row, decision = self._gate.step(self._score_epoch())
-                self.epoch_log.append(row)
-                if decision is not None:
-                    decisions.append(decision)
+                window = self._buffer.last_window()
+                # a window view is overwritten by the next block
+                pending.append((self._filtered, window if self._moments else
+                                estimate(window, self.model.estimator_spec)))
+                if len(pending) == _SCORE_CHUNK:
+                    decisions += self._score(*zip(*pending))
+                    pending = []
         self._raw = raw[:, pos:]
+        if pending:
+            decisions += self._score(*zip(*pending))
         return decisions
 
-    def _score_epoch(self):
-        end = self._filtered
-        cov = estimate(self._buffer.last_window(), self.model.estimator_spec)
-        label, dists = classify_covariance(cov, self.model)
-        self.epoch_index += 1
-        return {"epoch": self.epoch_index, "end_sample": end,
-                "end_seconds": end / self.sample_rate, "label": label,
-                "distances": tuple(dists.tolist())}
+    def _score(self, ends, windows):
+        """Estimate (from moment sums) and classify stacked epochs in one
+        call each, then gate them in order; returns the decisions."""
+        covs = np.array(windows)
+        if self._moments:
+            covs = estimate(Moments(covs), self.model.estimator_spec)
+        labels, dists = classify_covariance(covs, self.model)
+        decisions = []
+        for end, label, dist in zip(ends, labels.tolist(), dists.tolist()):
+            self.epoch_index += 1
+            row, decision = self._gate.step(
+                {"epoch": self.epoch_index, "end_sample": end,
+                 "end_seconds": end / self.sample_rate, "label": label,
+                 "distances": tuple(dist)})
+            self.epoch_log.append(row)
+            if decision is not None:
+                decisions.append(decision)
+        return decisions
 
 
 @dataclass

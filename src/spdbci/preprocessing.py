@@ -144,17 +144,6 @@ def block_map(sos, length):
     return np.hstack([out, zf.transpose(1, 0, 2).reshape(n + length, n)])
 
 
-def _block_step(matrix, frame, zi):
-    """Filter a (channels x L) block through the :func:`block_map` of its
-    length from the sosfilt state ``zi``; returns the output and new zi."""
-    sections, channels, _ = zi.shape
-    state = zi.transpose(1, 0, 2).reshape(channels, 2 * sections)
-    y = np.hstack([state, frame]) @ matrix
-    length = frame.shape[1]
-    return (y[:, :length],
-            y[:, length:].reshape(channels, sections, 2).transpose(1, 0, 2))
-
-
 class BandpassFilterBank:
     """Causal filter bank over a set of stimulus frequencies.
 
@@ -168,10 +157,12 @@ class BandpassFilterBank:
     filters with its own copies. Without it the bank designs its own.
 
     A frame whose length is one of ``block_lengths`` is filtered by that
-    length's precomputed :func:`block_map` (one matrix product per band)
-    instead of ``sosfilt``; the two agree to roundoff and share the
-    state, so they may alternate. Filtering a stream in blocks of fixed
-    lengths gives the same bits however the caller chops the stream.
+    length's precomputed :func:`block_map` (one batched product
+    ``[state, frame] @ M_f`` over the F bands) instead of ``sosfilt``; the
+    two agree to roundoff and share the state, so they may alternate.
+    Filtering a stream in blocks of fixed lengths gives the same bits
+    however the caller chops the stream. Every band's design must have
+    the same number of sections.
     """
 
     def __init__(self, stim_freqs, channels, sample_rate,
@@ -185,18 +176,21 @@ class BandpassFilterBank:
         if sos is None:
             sos = design_bands(self.stim_freqs, float(half_bandwidth),
                                int(order), self.sample_rate)
-        elif len(sos) != len(self.stim_freqs):
+        elif len(sos) != len(self.stim_freqs) \
+                or len({np.shape(s) for s in sos}) != 1:
             raise ValidationError(
                 f"{len(sos)} filter designs for {len(self.stim_freqs)} "
-                f"stimulus frequencies")
+                f"stimulus frequencies, or of unequal shapes")
         self.sos = [np.array(s, dtype=float) for s in sos]
         # bound once here (see design_bandpass), not looked up per frame
         from scipy.signal import sosfilt
 
         self._sosfilt = sosfilt
-        self._state = [np.zeros((s.shape[0], self.channels, 2))
-                       for s in self.sos]
-        self._maps = {length: [block_map(s, length) for s in self.sos]
+        # per band and channel, sosfilt's zi[:, channel, :] flattened
+        self._state = np.zeros((len(self.sos), self.channels,
+                                2 * self.sos[0].shape[0]))
+        self._maps = {length: np.array([block_map(s, length)
+                                        for s in self.sos])
                       for length in map(int, block_lengths)}
 
     def process(self, frame):
@@ -205,15 +199,21 @@ class BandpassFilterBank:
         if frame.ndim != 2 or frame.shape[0] != self.channels:
             raise ValidationError(
                 f"frame must have {self.channels} rows, got shape {frame.shape}")
-        maps = self._maps.get(frame.shape[1])
+        bands, channels, n = self._state.shape
+        length = frame.shape[1]
+        maps = self._maps.get(length)
+        if maps is not None:
+            y = np.empty((bands, channels, n + length))
+            y[..., :n] = self._state
+            y[..., n:] = frame
+            y = y @ maps
+            self._state = y[..., length:]
+            return y[..., :length].reshape(bands * channels, length)
         blocks = []
         for band, sos in enumerate(self.sos):
-            if maps is None:
-                out, self._state[band] = self._sosfilt(
-                    sos, frame, axis=1, zi=self._state[band])
-            else:
-                out, self._state[band] = _block_step(
-                    maps[band], frame, self._state[band])
+            zi = self._state[band].reshape(channels, -1, 2).transpose(1, 0, 2)
+            out, zf = self._sosfilt(sos, frame, axis=1, zi=zi)
+            self._state[band] = zf.transpose(1, 0, 2).reshape(channels, n)
             blocks.append(out)
         return np.vstack(blocks)
 

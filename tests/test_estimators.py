@@ -436,6 +436,64 @@ def test_moments_of_one_sample_are_refused():
             est.estimate(moments, spec)
 
 
+# ---------------------------------------------------------------------------
+# stacked Moments of equal windows
+# ---------------------------------------------------------------------------
+
+STACK_SPECS = {"scm": est.EstimatorSpec(kind="scm")} | {
+    f"{target}-{scale}-{kappa}": est.spec_from_name(
+        target, kappa=kappa, blankertz_scale=scale)
+    for target in est.SHRINKAGE_TARGETS
+    for scale in ("matrix_space", "channels")
+    for kappa in (None, 0.3)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(seed=st.integers(0, 2 ** 32 - 1), windows=st.integers(1, 6),
+       samples=st.integers(2, 80))
+@pytest.mark.parametrize("name", sorted(STACK_SPECS))
+def test_stacked_moments_estimate_each_window_bitwise(name, seed, windows,
+                                                      samples):
+    # a stack's estimates and weights are the per-window calls, bit for bit
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((windows, 6, samples)) \
+        * rng.uniform(0.1, 10.0, (windows, 6, 1))
+    alone = [est.Moments.of(v) for v in values]
+    stack = est.Moments(np.array([m.sums for m in alone]))
+    assert (stack.channels, stack.samples) == (6, windows * samples)
+    spec = STACK_SPECS[name]
+    with warnings.catch_warnings():
+        # windows of fewer samples than channels are rank deficient
+        warnings.simplefilter("ignore", est.RankDeficientCovarianceWarning)
+        got = est.estimate(stack, spec)
+        expected = [est.estimate(m, spec) for m in alone]
+    assert got.shape == (windows, 6, 6)
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+    if spec.kind == "shrinkage":
+        _, kappa = est.shrinkage_with_kappa(stack, spec)
+        assert np.broadcast_to(kappa, windows).tolist() == \
+            [est.shrinkage_with_kappa(m, spec)[1] for m in alone]
+
+
+def test_stacked_moments_warn_once_per_rank_deficient_window():
+    rng = np.random.default_rng(34)
+    values = rng.standard_normal((3, 4, 60))
+    values[1, 3] = values[1, 0]
+    stack = est.Moments(np.array([est.Moments.of(v).sums for v in values]))
+    with pytest.warns(est.RankDeficientCovarianceWarning) as caught:
+        est.scm(stack)
+    assert len(caught) == 1
+
+
+def test_stacked_moments_of_unequal_windows_are_refused():
+    rng = np.random.default_rng(35)
+    stack = est.Moments(np.array([
+        est.Moments.of(rng.standard_normal((3, n))).sums for n in (40, 41)]))
+    for spec in STACK_SPECS.values():
+        with pytest.raises(ValidationError, match="windows of one length"):
+            est.estimate(stack, spec)
+
+
 def test_scm_of_rank_deficient_moments_warns():
     rng = np.random.default_rng(33)
     x = rng.standard_normal((3, 60))

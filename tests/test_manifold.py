@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spdbci import manifold, mdrm
-from spdbci.errors import ConvergenceError, ValidationError
+from spdbci.errors import ConvergenceError, NumericalError, ValidationError
+from spdbci.estimators import EstimatorSpec
 
 from conftest import random_spd, random_sym
 
@@ -44,6 +45,15 @@ def test_matrix_exp_matches_taylor_series():
 def test_matrix_exp_rejects_nonsymmetric():
     with pytest.raises(ValidationError):
         manifold.matrix_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_exp_overflow_raises_instead_of_returning_nan():
+    # the whitened tangent's eigenvalues are 500 and 1500
+    with pytest.raises(NumericalError, match="overflows exp"):
+        manifold.exp_map(1e-3 * np.eye(2), [[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(NumericalError, match="overflows exp"):
+        manifold.matrix_exp(np.diag([800.0, 1.0]))
+    assert np.isfinite(manifold.matrix_exp(np.diag([709.0, 1.0]))).all()
 
 
 def test_matrix_exp_output_eigenvalues_positive():
@@ -307,6 +317,56 @@ def test_factored_distances_match_plain_stack(case):
     nearest = np.sort(plain)
     if k == 1 or nearest[1] - nearest[0] > 1e-9 * nearest[1]:
         assert label == int(np.argmin(plain)) + 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=_spd_sets, points=st.integers(1, 6))
+def test_stacked_p1_factored_distances_equal_single_calls_bitwise(case,
+                                                                  points):
+    seed, dim, k, log10_cond = case
+    rng = np.random.default_rng(seed)
+    refs = manifold.FactoredStack(np.array(
+        [_conditioned_spd(rng, dim, log10_cond) for _ in range(k)]))
+    p1 = np.array([_conditioned_spd(rng, dim, log10_cond)
+                   for _ in range(points)])
+    stacked = manifold.distance(p1, refs)
+    assert stacked.shape == (points, k)
+    assert [row.tobytes() for row in stacked] == \
+        [manifold.distance(p, refs).tobytes() for p in p1]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), points=st.integers(1, 6))
+def test_stacked_classification_equals_single_calls(seed, points):
+    # centers 2 and 3 are equal, so points nearest them tie: both the
+    # stack and the single calls give the lower label
+    rng = np.random.default_rng(seed)
+    a, b = random_spd(rng, 6), random_spd(rng, 6)
+    model = mdrm.ClassModel((a, b, b), EstimatorSpec(),
+                            mdrm.PreprocSpec((13.0, 17.0), 256.0))
+    covs = np.array([random_spd(rng, 6) for _ in range(points - 1)] + [b])
+    labels, dists = mdrm.classify_covariance(covs, model)
+    assert labels.shape == (points,) and dists.shape == (points, 3)
+    for cov, label, row in zip(covs, labels, dists):
+        single_label, single = mdrm.classify_covariance(cov, model)
+        assert type(single_label) is int and single_label == label
+        assert single.tobytes() == row.tobytes()
+        assert row[1] == row[2] and label in (1, 2)
+    assert labels[-1] == 2
+
+
+def test_stacked_p1_member_errors_name_it():
+    rng = np.random.default_rng(12)
+    good = random_spd(rng, 4)
+    refs = manifold.FactoredStack(np.stack([good, random_spd(rng, 4)]))
+    asym = good.copy()
+    asym[0, 1] += 1e-3 * np.linalg.norm(good)
+    cases = {r"p1\[1\] has non-finite": _spoiled(np.nan),
+             r"p1\[1\] is not symmetric": asym,
+             r"p1\[1\] is not positive definite": -good}
+    for message, bad in cases.items():
+        with pytest.raises(ValidationError, match=message):
+            manifold.distance(np.stack([good, bad, good]), refs)
 
 
 def _conditioned_matrix(rng, dim, log10_cond):

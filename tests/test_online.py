@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from spdbci import mdrm, online, synthgen
 from spdbci.errors import ValidationError
-from spdbci.estimators import (EstimatorSpec, RankDeficientCovarianceWarning,
-                               Trial, estimate, spec_from_name)
+from spdbci.estimators import (EstimatorSpec, Moments,
+                               RankDeficientCovarianceWarning, Trial,
+                               estimate, spec_from_name)
 from spdbci.mdrm import PreprocSpec
 from spdbci.online import OnlineConfig, OnlineState
 from spdbci.preprocessing import epoch_stream, extend_trial
@@ -527,6 +528,44 @@ def test_each_estimator_streams_alike_for_any_frame_size(model_per_estimator):
     whole = OnlineState(model)
     decisions = whole.push_samples(stream)
     for sizes in ([1], [7, 300, 51]):
+        state = OnlineState(model)
+        chunked = []
+        for frame in frames_of(stream, sizes):
+            chunked.extend(state.push_samples(frame))
+        assert chunked == decisions and state.epoch_log == whole.epoch_log
+
+
+@pytest.mark.parametrize("chunk", [online._SCORE_CHUNK, 5])
+def test_a_push_spanning_score_chunks_equals_small_frames(
+        model_per_estimator, monkeypatch, chunk):
+    # one push of three trials (73 epochs) is scored in stacks of at most
+    # _SCORE_CHUNK epochs: one estimate call per stack from block moments
+    # or one per epoch from the window, one classify call per stack
+    model, stream = model_per_estimator
+    monkeypatch.setattr(online, "_SCORE_CHUNK", chunk)
+    calls = {"estimate": [], "classify": []}
+
+    def counted(name, fn):
+        def call(data, *args):
+            size = data.sums.shape[0] if isinstance(data, Moments) \
+                else len(data) if np.ndim(data) == 3 else 1
+            calls[name].append(size)
+            return fn(data, *args)
+        return call
+
+    monkeypatch.setattr(online, "estimate", counted("estimate", estimate))
+    monkeypatch.setattr(online, "classify_covariance",
+                        counted("classify", mdrm.classify_covariance))
+    whole = OnlineState(model)
+    decisions = whole.push_samples(stream)
+    epochs = len(whole.epoch_log)
+    assert epochs > chunk
+    stacks = [chunk] * (epochs // chunk) + [epochs % chunk] * bool(
+        epochs % chunk)
+    assert calls["classify"] == stacks
+    windowed = model.estimator_spec.kind not in ("scm", "shrinkage")
+    assert calls["estimate"] == ([1] * epochs if windowed else stacks)
+    for sizes in ([1], [32]):
         state = OnlineState(model)
         chunked = []
         for frame in frames_of(stream, sizes):

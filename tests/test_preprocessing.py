@@ -204,6 +204,32 @@ def test_block_maps_share_state_with_sosfilt_frames():
     assert_allclose(out, whole, rtol=0, atol=1e-13 * np.abs(whole).max())
 
 
+def test_bands_filter_in_one_batched_product_bitwise():
+    # each band's share of the batched product is that band's own
+    # [state, frame] @ M product, state handed on in sosfilt's layout
+    values = np.random.default_rng(7).standard_normal((4, 51 * 12 + 3))
+    freqs = (13.0, 17.0, 21.0)
+    bank = pp.BandpassFilterBank(freqs, 4, FS, block_lengths=(3, 51))
+    out = _block_filtered(bank, values, (3,) + (51,) * 12)[0]
+    expected = []
+    for sos in pp.design_bands(freqs, 1.0, 8, FS):
+        state, parts, pos = np.zeros((4, 2 * len(sos))), [], 0
+        for length in (3,) + (51,) * 12:
+            y = np.hstack([state, values[:, pos:pos + length]]) \
+                @ pp.block_map(sos, length)
+            parts.append(y[:, :length])
+            state, pos = y[:, length:], pos + length
+        expected.append(np.hstack(parts))
+    assert np.vstack(expected).tobytes() == out.tobytes()
+
+
+def test_bank_rejects_designs_of_unequal_shapes():
+    sos = [pp.design_bandpass(pp.FilterSpec(f, 1.0, order, FS))
+           for f, order in ((13.0, 8), (17.0, 4))]
+    with pytest.raises(ValidationError, match="unequal shapes"):
+        pp.BandpassFilterBank((13.0, 17.0), 2, FS, sos=sos)
+
+
 def test_block_map_is_sosfilt_on_unit_inputs():
     # the map's input columns are the impulse response and its shifts
     sos = pp.design_bandpass(pp.FilterSpec(17.0, 1.0, 8, FS))
