@@ -146,6 +146,7 @@ def cmd_train(args):
     if args.mean_max_iter is not None:
         mean_kwargs["mean_max_iterations"] = args.mean_max_iter
     mdrm.check_train_settings(args.potato_z, **mean_kwargs)
+    preproc.check_trials(trial_set.trials)
     out = _prepare_out(args.out, args.force)
     model, report = mdrm.train(trial_set, estimator, preproc,
                                potato_z=args.potato_z, **mean_kwargs)
@@ -174,10 +175,12 @@ def cmd_eval(args):
     model = mdrm.load_model(args.model)
     config = OnlineConfig(window_seconds=args.window, step_seconds=args.step,
                           depth=args.depth, theta=args.theta)
-    # what the stream replay would refuse, refused before --out exists
+    # what the offline columns and the stream replay would refuse,
+    # refused before --out exists
     config.plan().grid_blocks(model.preproc_spec.sample_rate)
-    for trial in trial_set.trials:
-        model.preproc_spec.check_sample_rate(trial.sample_rate)
+    model.preproc_spec.check_trials(trial_set.trials)
+    model.preproc_spec.check_trials(trial_set.trials,
+                                    latency_override=args.latency)
     out = _prepare_out(args.out, args.force)
 
     offline = [mdrm.classify(t, model)[0] for t in trial_set.trials]
@@ -247,7 +250,7 @@ def cmd_bench(args):
         seed=args.seed,
     )
     preproc = _dataset_preproc(trial_set, args)
-    metrics.benchmark_pools(trial_set, config)
+    metrics.benchmark_pools(trial_set, config, preproc)
     out = _prepare_out(args.out, args.force)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RankDeficientCovarianceWarning)
@@ -295,6 +298,7 @@ def cmd_embed(args):
     preproc, estimator = _dataset_specs(trial_set, args, model)
     if args.potato_z is not None:
         mdrm.check_potato_z(args.potato_z)
+    preproc.check_trials(trial_set.trials)
     out = _prepare_out(args.out, args.force)
     covs = [mdrm.trial_covariance(t, preproc, estimator)
             for t in trial_set.trials]
@@ -330,6 +334,7 @@ def cmd_potato(args):
     trial_set = synthgen.load(args.data)
     preproc, estimator = _dataset_specs(trial_set, args)
     mdrm.check_potato_z(args.z)
+    preproc.check_trials(trial_set.trials)
     out = _prepare_out(args.out, args.force)
     covs = [mdrm.trial_covariance(t, preproc, estimator)
             for t in trial_set.trials]

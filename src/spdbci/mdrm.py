@@ -26,6 +26,7 @@ from .preprocessing import (
     FilterSpec,
     design_bands,
     extend_trial,
+    latency_samples,
     trim_latency,
 )
 
@@ -97,6 +98,17 @@ class PreprocSpec:
             raise ValidationError(
                 f"trial sample rate {sample_rate} does not match the "
                 f"model's {self.sample_rate}")
+
+    def check_trials(self, trials, latency_override=None):
+        """Refuse, before any work, the trials :func:`preprocess_trial`
+        would refuse: one at another sample rate, or a latency that is
+        negative or leaves no data in the shortest."""
+        for trial in trials:
+            self.check_sample_rate(trial.sample_rate)
+        latency = self.latency_seconds if latency_override is None \
+            else latency_override
+        shortest = min(trials, key=lambda t: t.samples)
+        latency_samples(latency, shortest.samples, shortest.sample_rate)
 
     @classmethod
     def for_trial_set(cls, trial_set, **overrides):
@@ -173,8 +185,7 @@ def preprocess_trial(trial, preproc, latency_override=None):
     preproc.check_sample_rate(trial.sample_rate)
     latency = preproc.latency_seconds if latency_override is None \
         else latency_override
-    if latency > 0:
-        trial = trim_latency(trial, latency)
+    trial = trim_latency(trial, latency)
     return extend_trial(trial, preproc.stim_freqs, preproc.half_bandwidth,
                         preproc.filter_order, preproc.sos)
 

@@ -182,31 +182,52 @@ def _crop(trial, length_seconds):
     return Trial(trial.values[:, :count], trial.sample_rate)
 
 
-def _estimate_all(trials, spec):
-    """``(covariances, mean kappa or None, stalled count)`` of one spec.
+class _Estimates:
+    """One spec's covariances, mean kappa (shrinkage only) and stalled
+    count, estimated one trial at a time by :meth:`add`.
 
     A fixed-point estimate that runs out of iterations (some short crops
     need more than the default cap) is scored at its last iterate and
     counted, rather than aborting the whole comparison.
     """
-    if spec.kind == "shrinkage":
-        pairs = [shrinkage_with_kappa(t, spec) for t in trials]
-        return ([cov for cov, _ in pairs],
-                float(np.mean([kappa for _, kappa in pairs])), 0)
-    covs, stalled = [], 0
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.covs, self.kappas, self.stalled = [], [], 0
+
+    def add(self, trial):
+        if self.spec.kind == "shrinkage":
+            cov, kappa = shrinkage_with_kappa(trial, self.spec)
+            self.kappas.append(kappa)
+        else:
+            try:
+                cov = estimate(trial, self.spec)
+            except ConvergenceError as exc:
+                cov = exc.last_iterate
+                self.stalled += 1
+        self.covs.append(cov)
+
+    def result(self):
+        """``(covariances, mean kappa or None, stalled count)``."""
+        kappa = float(np.mean(self.kappas)) \
+            if self.spec.kind == "shrinkage" else None
+        return self.covs, kappa, self.stalled
+
+
+def _estimate_all(trials, spec):
+    """``(covariances, mean kappa or None, stalled count)`` of one spec
+    over ``trials``, in order."""
+    estimates = _Estimates(spec)
     for trial in trials:
-        try:
-            covs.append(estimate(trial, spec))
-        except ConvergenceError as exc:
-            covs.append(exc.last_iterate)
-            stalled += 1
-    return covs, None, stalled
+        estimates.add(trial)
+    return estimates.result()
 
 
-def benchmark_pools(trial_set, config):
+def benchmark_pools(trial_set, config, preproc):
     """Trial indices of each class, after checking that ``trial_set`` can
-    run ``config``: every crop fits the shortest trial and every class has
-    the two trials a train/test split needs. Otherwise raises
+    run ``config`` under ``preproc``: every crop fits the shortest trial,
+    the latency leaves data in the shortest crop, and every class has the
+    two trials a train/test split needs. Otherwise raises
     :class:`ValidationError`, before any work."""
     min_duration = min(t.duration for t in trial_set.trials)
     for length in config.trial_lengths_seconds:
@@ -214,6 +235,8 @@ def benchmark_pools(trial_set, config):
             raise ValidationError(
                 f"trial length {length} s exceeds the shortest trial "
                 f"({min_duration} s)")
+    shortest = min(config.trial_lengths_seconds)
+    preproc.check_trials([_crop(t, shortest) for t in trial_set.trials])
     by_class = {}
     for i, lab in enumerate(trial_set.labels):
         by_class.setdefault(lab, []).append(i)
@@ -232,7 +255,9 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     always evaluated as the baseline for the discrimination-improvement
     column. Each spec is scored on its own covariances; resampling reuses
     the same trials across replications, so each (length, spec, trial)
-    covariance is computed exactly once. A class mean or a fixed-point
+    covariance is computed exactly once. Trials are cropped, filtered and
+    estimated under every spec one at a time, so one filtered trial is
+    held at once, not a whole length's. A class mean or a fixed-point
     estimate that stalls is scored at its last iterate and counted in the
     ``unconverged_means`` or ``unconverged_estimates`` column.
 
@@ -250,7 +275,7 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     config = config or BenchConfig()
     if preproc is None:
         preproc = PreprocSpec.for_trial_set(trial_set)
-    by_class = benchmark_pools(trial_set, config)
+    by_class = benchmark_pools(trial_set, config, preproc)
     k = trial_set.class_count
     labels = trial_set.labels
 
@@ -298,17 +323,22 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
 
     rows = []
     for length in config.trial_lengths_seconds:
-        trials = [preprocess_trial(_crop(t, length), preproc)
-                  for t in trial_set.trials]
-        baseline = _estimate_all(trials, EstimatorSpec(kind="scm"))
-        scm_runs = evaluate_splits(baseline[0])
-        for spec in config.estimators:
-            label = estimator_label(spec)
-            if label == "scm":
-                (covs, kappa, stalled_estimates), runs = baseline, scm_runs
-            else:
-                covs, kappa, stalled_estimates = _estimate_all(trials, spec)
-                runs = evaluate_splits(covs)
+        baseline = _Estimates(EstimatorSpec(kind="scm"))
+        # an scm spec is scored on the baseline's estimates and splits
+        estimates = [baseline if estimator_label(spec) == "scm"
+                     else _Estimates(spec) for spec in config.estimators]
+        distinct = [baseline] + [e for e in estimates if e is not baseline]
+        # each filtered trial is estimated under every spec, then dropped
+        # before the next one is filtered
+        for t in trial_set.trials:
+            trial = preprocess_trial(_crop(t, length), preproc)
+            for spec_estimates in distinct:
+                spec_estimates.add(trial)
+        scm_runs = evaluate_splits(baseline.covs)
+        for spec, spec_estimates in zip(config.estimators, estimates):
+            covs, kappa, stalled_estimates = spec_estimates.result()
+            runs = scm_runs if spec_estimates is baseline \
+                else evaluate_splits(covs)
             accs, itrs, idis = [], [], []
             stalled_total = 0
             for (preds, scores, truth, stalled), (_, scm_scores, _, _) in \
@@ -321,7 +351,7 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
             cond = float(np.mean([manifold.condition_ratio(c)
                                   for c in covs]))
             rows.append(BenchRow(
-                estimator=label,
+                estimator=estimator_label(spec),
                 length_seconds=float(length),
                 acc_mean=float(np.mean(accs)),
                 acc_std=float(np.std(accs)),

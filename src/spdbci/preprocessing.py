@@ -232,15 +232,23 @@ def extend_trial(trial, stim_freqs, half_bandwidth=DEFAULT_HALF_BANDWIDTH,
     return Trial(bank.process(trial.values), trial.sample_rate)
 
 
-def trim_latency(trial, latency_seconds):
-    """Drop the first floor(latency * fs) samples of a trial."""
+def latency_samples(latency_seconds, samples, sample_rate):
+    """The floor(latency * fs) samples a latency drops from the head of a
+    ``samples``-sample trial; raises ValidationError when the latency is
+    negative or leaves no data."""
     if latency_seconds < 0:
         raise ValidationError("latency must be nonnegative")
-    skip = int(np.floor(latency_seconds * trial.sample_rate))
-    if skip >= trial.samples:
+    skip = int(np.floor(latency_seconds * sample_rate))
+    if skip >= samples:
         raise ValidationError(
             f"latency of {skip} samples leaves no data in a "
-            f"{trial.samples}-sample trial")
+            f"{samples}-sample trial")
+    return skip
+
+
+def trim_latency(trial, latency_seconds):
+    """Drop the first floor(latency * fs) samples of a trial."""
+    skip = latency_samples(latency_seconds, trial.samples, trial.sample_rate)
     if skip == 0:
         return trial
     return Trial(trial.values[:, skip:], trial.sample_rate)

@@ -527,6 +527,8 @@ MODEL = object()
 FAST_DATA = object()
 # stands for a dataset of one trial per class, too few to bench
 ONE_PER_CLASS = object()
+LEAVES_NO_TRIAL = "latency of 2304 samples leaves no data in a 1280-sample"
+LEAVES_NO_CROP = "latency of 256 samples leaves no data in a 128-sample"
 MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
                     ("--blankertz-scale", "channels"), ("--latency", 3.0),
                     ("--half-bandwidth", 2.0), ("--filter-order", 6)]
@@ -546,11 +548,23 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
     ("embed", ("--potato-z", 0), "z_threshold"),
     ("bench", ("--lengths", 100), "trial length 100.0 s"),
     ("bench", ("--data", ONE_PER_CLASS), "class 1 needs at least 2 trials"),
+    # 9 s of latency leaves nothing of a 5 s trial, 1 s nothing of a 0.5 s
+    # crop, whichever length comes first
+    ("train", ("--latency", 9), LEAVES_NO_TRIAL),
+    ("eval", ("--model", MODEL, "--latency", 9), LEAVES_NO_TRIAL),
+    ("eval", ("--model", MODEL, "--latency", -1), "latency must be"),
+    ("embed", ("--latency", 9), LEAVES_NO_TRIAL),
+    ("potato", ("--latency", 9), LEAVES_NO_TRIAL),
+    ("bench", ("--latency", 1.0, "--lengths", "0.5,2"), LEAVES_NO_CROP),
+    ("bench", ("--latency", 1.0, "--lengths", "2,0.5"), LEAVES_NO_CROP),
 ], ids=["train-estimator", "eval-step", "eval-step-below-one-sample",
         "eval-other-sample-rate",
         *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS],
         "potato-z", "train-potato-z", "train-mean-tol", "train-mean-max-iter",
-        "embed-potato-z", "bench-length", "bench-one-trial-per-class"])
+        "embed-potato-z", "bench-length", "bench-one-trial-per-class",
+        "train-latency", "eval-latency", "eval-negative-latency",
+        "embed-latency", "potato-latency",
+        "bench-latency", "bench-latency-long-length-first"])
 def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
                                     argv, named):
     data, model = trained_once

@@ -320,6 +320,64 @@ def test_benchmark_scores_same_label_specs_apart(bench_inputs, pair):
         assert together[1].unconverged_estimates == 0
 
 
+def test_benchmark_holds_one_filtered_trial_at_a_time():
+    # 64 trials at one 5 s length: all of them filtered at once would be
+    # 64 x 24 x 1280 floats, about 15.7 MB
+    import tracemalloc
+
+    from spdbci.mdrm import PreprocSpec
+
+    ts = synthgen.generate(synthgen.GenConfig(trials_per_class=16, seed=0))
+    pre = PreprocSpec.for_trial_set(ts)
+    config = metrics.BenchConfig(replications=1, trial_lengths_seconds=(5.0,),
+                                 estimators=(EstimatorSpec(),), seed=0)
+    filtered_bytes = (len(ts.trials) * len(pre.stim_freqs)
+                      * ts.trials[0].channels * int(5.0 * ts.sample_rate) * 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # imports and the filter design are paid before tracing starts
+        metrics.run_benchmark(ts, metrics.BenchConfig(
+            replications=1, trial_lengths_seconds=(0.5,),
+            estimators=config.estimators), pre)
+        tracemalloc.start()
+        try:
+            metrics.run_benchmark(ts, config, pre)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < filtered_bytes / 4
+
+
+def test_benchmark_estimates_an_scm_spec_once(bench_inputs, tmp_path,
+                                              capsys):
+    # the scm spec is scored on the baseline's estimates, so it adds no
+    # rank-deficient warning of its own
+    from spdbci import cli
+    from spdbci.estimators import RankDeficientCovarianceWarning
+
+    ts, pre = bench_inputs
+
+    def deficient(specs):
+        config = metrics.BenchConfig(replications=1,
+                                     trial_lengths_seconds=(0.5,),
+                                     estimators=specs, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RankDeficientCovarianceWarning)
+            metrics.run_benchmark(ts, config, pre)
+        return sum(issubclass(w.category, RankDeficientCovarianceWarning)
+                   for w in caught)
+
+    alone = deficient((EstimatorSpec(),))
+    assert 0 < alone <= len(ts.trials)
+    assert deficient((EstimatorSpec(kind="scm"), EstimatorSpec())) == alone
+    synthgen.save(ts, tmp_path / "data")
+    assert cli.main(["bench", "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "bench"),
+                     "--estimators", "scm,schafer", "--lengths", "0.5",
+                     "--replications", "1"]) == 0
+    assert f"note: {alone} rank-deficient" in capsys.readouterr().err
+
+
 def _reference_splits(ts, config):
     """The (train, test) indices of each replication, drawn as documented."""
     by_class = {}
