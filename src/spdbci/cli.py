@@ -179,13 +179,14 @@ def cmd_eval(args):
     # refused before --out exists
     config.plan().grid_blocks(model.preproc_spec.sample_rate)
     model.preproc_spec.check_trials(trial_set.trials)
-    model.preproc_spec.check_trials(trial_set.trials,
-                                    latency_override=args.latency)
+    # the "offline opt" column: the model's preprocessing at --latency
+    opt = replace(model.preproc_spec, latency_seconds=args.latency)
+    opt.check_trials(trial_set.trials)
     out = _prepare_out(args.out, args.force)
 
     offline = [mdrm.classify(t, model)[0] for t in trial_set.trials]
-    offline_opt = [mdrm.classify(t, model, latency_override=args.latency)[0]
-                   for t in trial_set.trials]
+    offline_opt = [mdrm.classify_covariance(mdrm.trial_covariance(
+        t, opt, model.estimator_spec), model)[0] for t in trial_set.trials]
     # one replay scores the stream; the curve gate reuses its epochs
     plain = online.evaluate_stream(trial_set, model,
                                    replace(config, curve_criterion=False))

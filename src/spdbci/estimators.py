@@ -47,6 +47,17 @@ def check_finite(values, what):
             f"channel {channel}, sample {sample}")
 
 
+def real_samples(values, what):
+    """``values`` as a float array. Complex, string and object data are
+    refused by their dtype alone, before a conversion could drop an
+    imaginary part or fail on a string."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise ValidationError(
+            f"{what} samples must be real numbers, got dtype {values.dtype}")
+    return values.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class Trial:
     """A multichannel recording segment.
@@ -58,7 +69,7 @@ class Trial:
     sample_rate: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = real_samples(self.values, "trial")
         if values.ndim != 2:
             raise ValidationError(f"trial values must be 2-D, got {values.ndim}-D")
         if values.shape[0] < 1 or values.shape[1] < 1:

@@ -99,16 +99,15 @@ class PreprocSpec:
                 f"trial sample rate {sample_rate} does not match the "
                 f"model's {self.sample_rate}")
 
-    def check_trials(self, trials, latency_override=None):
+    def check_trials(self, trials):
         """Refuse, before any work, the trials :func:`preprocess_trial`
-        would refuse: one at another sample rate, or a latency that is
-        negative or leaves no data in the shortest."""
+        would refuse: one at another sample rate, or one that this
+        latency leaves no data in."""
         for trial in trials:
             self.check_sample_rate(trial.sample_rate)
-        latency = self.latency_seconds if latency_override is None \
-            else latency_override
         shortest = min(trials, key=lambda t: t.samples)
-        latency_samples(latency, shortest.samples, shortest.sample_rate)
+        latency_samples(self.latency_seconds, shortest.samples,
+                        shortest.sample_rate)
 
     @classmethod
     def for_trial_set(cls, trial_set, **overrides):
@@ -180,20 +179,17 @@ class PotatoResult:
     degenerate: bool = False
 
 
-def preprocess_trial(trial, preproc, latency_override=None):
+def preprocess_trial(trial, preproc):
     """Trim cue latency and build the frequency-stacked extended trial."""
     preproc.check_sample_rate(trial.sample_rate)
-    latency = preproc.latency_seconds if latency_override is None \
-        else latency_override
-    trial = trim_latency(trial, latency)
+    trial = trim_latency(trial, preproc.latency_seconds)
     return extend_trial(trial, preproc.stim_freqs, preproc.half_bandwidth,
                         preproc.filter_order, preproc.sos)
 
 
-def trial_covariance(trial, preproc, estimator_spec, latency_override=None):
-    """Covariance of a trial after the model's preprocessing."""
-    return estimate(preprocess_trial(trial, preproc, latency_override),
-                    estimator_spec)
+def trial_covariance(trial, preproc, estimator_spec):
+    """Covariance of a trial after the preprocessing ``preproc``."""
+    return estimate(preprocess_trial(trial, preproc), estimator_spec)
 
 
 def train(trial_set, estimator_spec=None, preproc_spec=None,
@@ -265,7 +261,9 @@ def train(trial_set, estimator_spec=None, preproc_spec=None,
 
 
 def classify_covariance(cov, model):
-    """Nearest class center for a precomputed covariance.
+    """Label (1-based) of the class center nearest a precomputed
+    covariance in geodesic distance, and the distances to all centers,
+    scored in one stacked pass against :attr:`ClassModel.factors`.
 
     Returns ``(label, distances)`` with all class distances so callers
     can normalize or gate on them (exact ties go to the lowest class), or
@@ -275,29 +273,14 @@ def classify_covariance(cov, model):
         raise ValidationError(
             f"covariance dim {cov.shape[-1]} does not match model dim "
             f"{model.dim}")
-    return nearest_center(cov, model.factors)
-
-
-def nearest_center(cov, centers):
-    """Label (1-based) of the center nearest ``cov`` in geodesic distance,
-    and the distances to all centers, scored in one stacked pass. Exact
-    ties go to the lowest label.
-
-    ``centers`` is a :class:`~spdbci.manifold.FactoredStack` (a model's
-    :attr:`ClassModel.factors`) or a sequence of SPD matrices, which is
-    factored first. A stack of E gives E labels and (E, K) distances.
-    """
-    if not isinstance(centers, manifold.FactoredStack):
-        centers = manifold.FactoredStack(centers, "centers")
-    dists = manifold.distance(cov, centers)
+    dists = manifold.distance(cov, model.factors)
     labels = dists.argmin(axis=-1) + 1
     return (labels if dists.ndim == 2 else int(labels)), dists
 
 
-def classify(trial, model, latency_override=None):
+def classify(trial, model):
     """Classify a raw trial with the model's recorded preprocessing."""
-    cov = trial_covariance(trial, model.preproc_spec, model.estimator_spec,
-                           latency_override)
+    cov = trial_covariance(trial, model.preproc_spec, model.estimator_spec)
     return classify_covariance(cov, model)
 
 

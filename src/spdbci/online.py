@@ -35,10 +35,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .estimators import MOMENT_KINDS, Moments, Trial, check_finite, estimate
+from .estimators import MOMENT_KINDS, Moments, Trial, check_finite, \
+    estimate, real_samples
 from .formats import write_csv
 from .mdrm import classify_covariance
-from .preprocessing import BandpassFilterBank, EpochPlan
+from .preprocessing import BandpassFilterBank, EpochPlan, epoch_ends
 
 _SCORE_CHUNK = 64  # epochs per scored stack, bounding a push's temporaries
 
@@ -274,38 +275,64 @@ class OnlineState:
         the decisions nor any bit of the epoch log depends on how the
         stream is chopped into frames. The epochs a push completes are
         scored together, :data:`_SCORE_CHUNK` at a time, before it returns.
+
+        An epoch that cannot be scored raises ValidationError naming its
+        number and end sample. After any error, the epochs filtered but not
+        yet scored (at most one stack) get no log row but keep their
+        numbers, so later epochs are numbered and placed as ever; the
+        unfiltered samples wait for the next push, and the decisions of
+        the push's earlier stacks are only in the epoch log.
         """
-        frame = np.asarray(frame, dtype=float)
+        frame = real_samples(frame, "frame")
         if frame.ndim == 1:
             frame = frame[:, None]
+        if frame.ndim != 2:
+            raise ValidationError(
+                f"frame must be 1-D or 2-D, got {frame.ndim}-D")
         if frame.shape[0] != self.channels:
             raise ValidationError(
                 f"frame has {frame.shape[0]} channels, stream expects "
                 f"{self.channels}")
         check_finite(frame, "frame")
-        self.samples_seen += frame.shape[1]
         raw = np.hstack([self._raw, frame])
+        self.samples_seen += frame.shape[1]
         decisions, pending = [], []
         pos = 0
-        while raw.shape[1] - pos >= self._next_block:
-            block = raw[:, pos:pos + self._next_block]
-            pos += self._next_block
-            self._filtered += self._next_block
-            self._next_block = self._step
-            self._buffer.append(self._bank.process(block))
-            # from the first window on, every block boundary ends an epoch
-            if self._filtered >= self._w:
-                window = self._buffer.last_window()
-                # a window view is overwritten by the next block
-                pending.append((self._filtered, window if self._moments else
-                                estimate(window, self.model.estimator_spec)))
-                if len(pending) == _SCORE_CHUNK:
-                    decisions += self._score(*zip(*pending))
-                    pending = []
-        self._raw = raw[:, pos:]
-        if pending:
-            decisions += self._score(*zip(*pending))
+        try:
+            while raw.shape[1] - pos >= self._next_block:
+                block = raw[:, pos:pos + self._next_block]
+                pos += self._next_block
+                self._filtered += self._next_block
+                self._next_block = self._step
+                self._buffer.append(self._bank.process(block))
+                # from the first window on, every block boundary ends an
+                # epoch
+                if self._filtered >= self._w:
+                    window = self._buffer.last_window()
+                    if not self._moments:
+                        # a window view is overwritten by the next block
+                        window = self._estimate(window)
+                    pending.append((self._filtered, window))
+                    if len(pending) == _SCORE_CHUNK:
+                        decisions += self._score(*zip(*pending))
+                        pending = []
+            if pending:
+                decisions += self._score(*zip(*pending))
+        finally:
+            # even after an error, samples_seen is the filtered plus the
+            # buffered samples, and the epochs filtered but not scored
+            # keep their numbers
+            self._raw = raw[:, pos:]
+            self.epoch_index = len(epoch_ends(self._filtered, self._w,
+                                              self._step))
         return decisions
+
+    def _estimate(self, window):
+        """The covariance of the epoch that ends with the last block."""
+        try:
+            return estimate(window, self.model.estimator_spec)
+        except ValidationError as exc:
+            raise self._unscorable(self._filtered, str(exc)) from exc
 
     def _score(self, ends, windows):
         """Estimate (from moment sums) and classify stacked epochs in one
@@ -313,7 +340,18 @@ class OnlineState:
         covs = np.array(windows)
         if self._moments:
             covs = estimate(Moments(covs), self.model.estimator_spec)
-        labels, dists = classify_covariance(covs, self.model)
+        try:
+            labels, dists = classify_covariance(covs, self.model)
+        except ValidationError:
+            # the first epoch of the stack that fails on its own
+            for end, cov in zip(ends, covs):
+                try:
+                    classify_covariance(cov, self.model)
+                except ValidationError as exc:
+                    # distance names the one matrix it scores "p1"
+                    reason = str(exc).replace("p1", "its covariance", 1)
+                    raise self._unscorable(end, reason) from exc
+            raise
         decisions = []
         for end, label, dist in zip(ends, labels.tolist(), dists.tolist()):
             self.epoch_index += 1
@@ -325,6 +363,13 @@ class OnlineState:
             if decision is not None:
                 decisions.append(decision)
         return decisions
+
+    def _unscorable(self, end, reason):
+        """The error for the epoch that ends at sample ``end``."""
+        epoch = len(epoch_ends(end, self._w, self._step))
+        return ValidationError(
+            f"epoch {epoch} ending at sample {end} cannot be scored: "
+            f"{reason}")
 
 
 @dataclass

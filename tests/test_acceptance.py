@@ -9,6 +9,7 @@ assertions hold; a failing criterion fails its test. Run with::
 import hashlib
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,8 +287,9 @@ def test_criterion_08_latency_trim(carryover_set, schafer_spec):
     train_set, test_set = synthgen.stratified_split(carryover_set, 8)
     model, _ = mdrm.train(train_set, schafer_spec, pre, mean_tolerance=1e-4)
     lat0 = [mdrm.classify(t, model)[0] for t in test_set.trials]
-    lat2 = [mdrm.classify(t, model, latency_override=2.0)[0]
-            for t in test_set.trials]
+    trim2 = replace(pre, latency_seconds=2.0)
+    lat2 = [mdrm.classify_covariance(mdrm.trial_covariance(
+        t, trim2, model.estimator_spec), model)[0] for t in test_set.trials]
     acc0 = metrics.accuracy(lat0, test_set.labels)
     acc2 = metrics.accuracy(lat2, test_set.labels)
     assert acc2 >= acc0 + 5.0

@@ -145,6 +145,21 @@ def test_eval_outputs(tmp_path, trained):
     assert (out / "epochs_online_curve.csv").is_file()
 
 
+def test_eval_opt_column_is_the_model_preprocessing_at_latency(tmp_path,
+                                                               trained):
+    data, model_path = trained
+    out = tmp_path / "eval"
+    assert run("eval", "--data", data, "--model", model_path, "--out", out,
+               "--latency", 1.5) == 0
+    model = mdrm.load_model(model_path)
+    opt = replace(model.preproc_spec, latency_seconds=1.5)
+    expected = [mdrm.classify_covariance(mdrm.trial_covariance(
+        t, opt, model.estimator_spec), model)[0]
+        for t in synthgen.load(data).trials]
+    rows = (out / "eval.csv").read_text().splitlines()[1:-1]
+    assert [int(row.split(",")[3]) for row in rows] == expected
+
+
 def test_eval_deterministic(tmp_path, trained):
     data, model = trained
     out1, out2 = tmp_path / "e1", tmp_path / "e2"

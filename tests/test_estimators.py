@@ -29,6 +29,20 @@ def test_trial_validation():
     assert t.duration == pytest.approx(8 / 256.0)
 
 
+# samples that a float conversion would drop a part of or fail on
+NON_REAL_SAMPLES = {
+    "complex": np.ones((2, 10), dtype=complex),
+    "string": np.full((2, 10), "x"),
+    "object": np.full((2, 10), None, dtype=object),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_REAL_SAMPLES))
+def test_trial_refuses_non_real_samples(kind):
+    with pytest.raises(ValidationError, match="must be real numbers"):
+        est.Trial(NON_REAL_SAMPLES[kind], 256.0)
+
+
 # ---------------------------------------------------------------------------
 # SCM
 # ---------------------------------------------------------------------------

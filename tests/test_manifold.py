@@ -310,7 +310,9 @@ def test_factored_distances_match_plain_stack(case):
     stack = np.array([_conditioned_spd(rng, dim, log10_cond)
                       for _ in range(k)])
     plain = manifold.distance(p, stack)
-    label, factored = mdrm.nearest_center(p, stack)
+    model = mdrm.ClassModel(stack, EstimatorSpec(),
+                            mdrm.PreprocSpec((13.0,), 256.0))
+    label, factored = mdrm.classify_covariance(p, model)
     assert_allclose(factored, plain, rtol=1e-10, atol=0)
     assert_allclose(manifold.distance(p, manifold.FactoredStack(stack)),
                     factored, rtol=0, atol=0)

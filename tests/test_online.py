@@ -411,6 +411,52 @@ def test_non_finite_frame_rejected_without_touching_state(trained):
     assert state.epoch_log == fresh.epoch_log
 
 
+@pytest.mark.parametrize("kind, match", [
+    ("complex", "real numbers"), ("string", "real numbers"),
+    ("object", "real numbers"), ("3-D", "1-D or 2-D")])
+def test_malformed_frame_rejected_without_touching_state(trained, kind,
+                                                         match):
+    model, _ = trained
+    state = OnlineState(model, OnlineConfig())
+    shape = (state.channels, 64)
+    frame = {"complex": np.ones(shape, dtype=complex),
+             "string": np.full(shape, "x"),
+             "object": np.full(shape, None, dtype=object),
+             "3-D": np.ones(shape + (1,))}[kind]
+    with pytest.raises(ValidationError, match=match):
+        state.push_samples(frame)
+    assert state.samples_seen == 0 and state._raw.shape[1] == 0
+
+
+def test_unscorable_epoch_is_named_and_no_sample_is_dropped(trained):
+    model, _ = trained
+    state = OnlineState(model, OnlineConfig())
+    w, step = 921, 51
+    noise = np.random.default_rng(3).standard_normal((state.channels, 2560))
+
+    def consistent():
+        return state.samples_seen == state._filtered + state._raw.shape[1]
+
+    with warnings.catch_warnings():
+        # every all-zero window has a singular covariance
+        warnings.simplefilter("ignore", RankDeficientCovarianceWarning)
+        with pytest.raises(ValidationError,
+                           match="^epoch 1 ending at sample 921 cannot be "
+                                 "scored: its covariance is not positive"):
+            state.push_samples(np.zeros((state.channels, w + 70 * step)))
+        assert consistent() and state.samples_seen == w + 70 * step
+        # the zeros the failed push left unfiltered come first in the next
+        with pytest.raises(ValidationError,
+                           match="^epoch 65 ending at sample 4185 "):
+            state.push_samples(noise)
+        assert consistent()
+    state.push_samples(noise)
+    assert consistent() and state.epoch_log
+    assert all(row["end_sample"] == w + (row["epoch"] - 1) * step
+               for row in state.epoch_log)
+    assert 0 <= state.samples_seen - state.epoch_log[-1]["end_sample"] < step
+
+
 @pytest.mark.parametrize("frame", [1, 51, 1000])
 def test_epochs_match_epoch_stream(trained, frame):
     # the online state and the offline epoching cut the same windows
@@ -521,6 +567,20 @@ def test_live_epoch_distances_match_offline_at_low_snr(name, monkeypatch):
         nearest = np.sort(dists)
         if nearest[1] > (1.0 + 1e-9) * nearest[0]:
             assert row["label"] == label
+
+
+def test_each_estimator_names_an_unscorable_epoch(model_per_estimator):
+    # nscm and the fixed point refuse an all-zero window when estimating
+    # it, scm and shrinkage when classifying its singular covariance
+    model, _ = model_per_estimator
+    state = OnlineState(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankDeficientCovarianceWarning)
+        with pytest.raises(ValidationError,
+                           match="^epoch 1 ending at sample 921 cannot"):
+            state.push_samples(np.zeros((state.channels, 2000)))
+    assert state.samples_seen == state._filtered + state._raw.shape[1]
+    assert not state.epoch_log
 
 
 def test_each_estimator_streams_alike_for_any_frame_size(model_per_estimator):
