@@ -3,7 +3,9 @@
 Every command takes ``--out`` and writes its artifacts plus a
 ``run_manifest.json`` that records the command, configuration, seed, and
 artifact list, enough to re-run it. All randomness flows from ``--seed``;
-no wall-clock entropy is used, so reruns are byte-identical.
+no wall-clock entropy is used, so reruns are byte-identical. A non-empty
+``--out`` is refused before any work unless ``--force`` is given; a
+command creates ``--out`` only once its work has succeeded.
 
 Exit codes: 0 success, 2 validation error, 3 numerical non-convergence,
 4 I/O or format error.
@@ -41,15 +43,6 @@ def _float_list(text):
     return values
 
 
-def _prepare_out(path, force):
-    out = Path(path)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise ValidationError(
-            f"output directory {out} is not empty; pass --force to reuse it")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_run_manifest(out, command, config, seed, artifacts):
     write_json(out / "run_manifest.json", {
         "command": command,
@@ -61,7 +54,8 @@ def _write_run_manifest(out, command, config, seed, artifacts):
 
 
 def _add_common(parser):
-    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="output directory")
     parser.add_argument("--force", action="store_true",
                         help="reuse a non-empty output directory")
     parser.add_argument("--seed", type=int, default=0)
@@ -126,14 +120,14 @@ def cmd_gen(args):
         transition_carryover_seconds=args.carryover,
         seed=args.seed,
     )
-    out = _prepare_out(args.out, args.force)
     trial_set = synthgen.generate(config)
-    synthgen.save(trial_set, out)
+    synthgen.save(trial_set, args.out)
     artifacts = ["manifest.json", "labels.csv"] + \
         [f"trial_{i:04d}.f64" for i in range(len(trial_set.trials))]
-    _write_run_manifest(out, "gen", config.to_dict(), args.seed, artifacts)
+    _write_run_manifest(args.out, "gen", config.to_dict(), args.seed,
+                        artifacts)
     print(f"wrote {len(trial_set.trials)} trials "
-          f"({config.class_count} classes) to {out}")
+          f"({config.class_count} classes) to {args.out}")
 
 
 def cmd_train(args):
@@ -145,13 +139,11 @@ def cmd_train(args):
         mean_kwargs["mean_tolerance"] = args.mean_tol
     if args.mean_max_iter is not None:
         mean_kwargs["mean_max_iterations"] = args.mean_max_iter
-    mdrm.check_train_settings(args.potato_z, **mean_kwargs)
-    preproc.check_trials(trial_set.trials)
-    out = _prepare_out(args.out, args.force)
     model, report = mdrm.train(trial_set, estimator, preproc,
                                potato_z=args.potato_z, **mean_kwargs)
-    mdrm.save_model(model, out / "model.mdrm")
-    write_json(out / "train_report.json", report)
+    args.out.mkdir(parents=True, exist_ok=True)
+    mdrm.save_model(model, args.out / "model.mdrm")
+    write_json(args.out / "train_report.json", report)
     config = {
         "data": str(args.data),
         "estimator": estimator.to_dict(),
@@ -160,14 +152,14 @@ def cmd_train(args):
         "mean_tol": args.mean_tol,
         "mean_max_iter": args.mean_max_iter,
     }
-    _write_run_manifest(out, "train", config, args.seed,
+    _write_run_manifest(args.out, "train", config, args.seed,
                         ["model.mdrm", "train_report.json"])
     if "potato" in report:
         pot = report["potato"]
         print(f"potato filter: kept {pot['kept']}, rejected "
               f"{pot['rejected']} (per class {pot['rejected_by_class']})")
     print(f"trained {model.class_count}-class model "
-          f"(dim {model.dim}) -> {out / 'model.mdrm'}")
+          f"(dim {model.dim}) -> {args.out / 'model.mdrm'}")
 
 
 def cmd_eval(args):
@@ -175,15 +167,10 @@ def cmd_eval(args):
     model = mdrm.load_model(args.model)
     config = OnlineConfig(window_seconds=args.window, step_seconds=args.step,
                           depth=args.depth, theta=args.theta)
-    # what the offline columns and the stream replay would refuse,
-    # refused before --out exists
-    config.plan().grid_blocks(model.preproc_spec.sample_rate)
-    model.preproc_spec.check_trials(trial_set.trials)
-    # the "offline opt" column: the model's preprocessing at --latency
+    # "offline opt": the model's preprocessing at --latency; only the
+    # latency differs, so it filters with the model's band-pass designs
     opt = replace(model.preproc_spec, latency_seconds=args.latency)
-    opt.check_trials(trial_set.trials)
-    out = _prepare_out(args.out, args.force)
-
+    vars(opt)["sos"] = model.preproc_spec.sos
     offline = [mdrm.classify(t, model)[0] for t in trial_set.trials]
     offline_opt = [mdrm.classify_covariance(mdrm.trial_covariance(
         t, opt, model.estimator_spec), model)[0] for t in trial_set.trials]
@@ -203,13 +190,15 @@ def cmd_eval(args):
     rows.append(["mean", None, offline_acc, offline_opt_acc,
                  plain.accuracy, plain.mean_delay,
                  curved.accuracy, curved.mean_delay])
-    write_csv(out / "eval.csv",
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_csv(args.out / "eval.csv",
               ("trial", "truth", "offline", "offline_opt", "online",
                "online_delay_s", "online_curve", "online_curve_delay_s"),
               rows)
 
-    online.write_epoch_log(plain.epoch_log, out / "epochs_online.csv")
-    online.write_epoch_log(curved.epoch_log, out / "epochs_online_curve.csv")
+    online.write_epoch_log(plain.epoch_log, args.out / "epochs_online.csv")
+    online.write_epoch_log(curved.epoch_log,
+                           args.out / "epochs_online_curve.csv")
     summary = {
         "offline_acc": offline_acc,
         "offline_opt_acc": offline_opt_acc,
@@ -223,13 +212,13 @@ def cmd_eval(args):
         "online_curve_decided": curved.decided_count,
         "online_curve_held_back": curved.held_back_count,
     }
-    write_json(out / "eval.json", summary)
+    write_json(args.out / "eval.json", summary)
     config = {
         "data": str(args.data), "model": str(args.model),
         "latency": args.latency, "window": args.window, "step": args.step,
         "depth": args.depth, "theta": args.theta,
     }
-    _write_run_manifest(out, "eval", config, args.seed,
+    _write_run_manifest(args.out, "eval", config, args.seed,
                         ["eval.csv", "eval.json", "epochs_online.csv",
                          "epochs_online_curve.csv"])
     print(f"offline {summary['offline_acc']:.2f}% | "
@@ -251,8 +240,6 @@ def cmd_bench(args):
         seed=args.seed,
     )
     preproc = _dataset_preproc(trial_set, args)
-    metrics.benchmark_pools(trial_set, config, preproc)
-    out = _prepare_out(args.out, args.force)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RankDeficientCovarianceWarning)
         report = metrics.run_benchmark(trial_set, config, preproc)
@@ -261,8 +248,9 @@ def cmd_bench(args):
     if deficient:
         print(f"note: {deficient} rank-deficient sample covariances "
               f"(expected for short crops)", file=sys.stderr)
-    report.to_csv(out / "bench.csv")
-    report.to_json(out / "bench.json")
+    args.out.mkdir(parents=True, exist_ok=True)
+    report.to_csv(args.out / "bench.csv")
+    report.to_json(args.out / "bench.json")
     manifest_config = {
         "data": str(args.data),
         "replications": args.replications,
@@ -270,10 +258,11 @@ def cmd_bench(args):
         "estimators": [s.to_dict() for s in specs],
         "preproc": preproc.to_dict(),
     }
-    _write_run_manifest(out, "bench", manifest_config, args.seed,
+    _write_run_manifest(args.out, "bench", manifest_config, args.seed,
                         ["bench.csv", "bench.json"])
     print(f"benchmarked {len(specs)} estimators x {len(args.lengths)} "
-          f"lengths x {args.replications} replications -> {out / 'bench.csv'}")
+          f"lengths x {args.replications} replications -> "
+          f"{args.out / 'bench.csv'}")
 
 
 def _dataset_specs(trial_set, args, model=None):
@@ -297,30 +286,24 @@ def cmd_embed(args):
     trial_set = synthgen.load(args.data)
     model = mdrm.load_model(args.model) if args.model else None
     preproc, estimator = _dataset_specs(trial_set, args, model)
-    if args.potato_z is not None:
-        mdrm.check_potato_z(args.potato_z)
-    preproc.check_trials(trial_set.trials)
-    out = _prepare_out(args.out, args.force)
     covs = [mdrm.trial_covariance(t, preproc, estimator)
             for t in trial_set.trials]
-    centers = list(model.centers) if model is not None else None
-
-    artifacts = []
+    before = metrics.tangent_embed(covs, trial_set.labels)
+    embeddings = {"embed.csv": before}
     if args.potato_z is not None:
-        before = metrics.tangent_embed(covs, trial_set.labels)
-        metrics.write_embedding_csv(before, out / "embed_before.csv", centers)
-        keep = mdrm.potato_filter(covs, z_threshold=args.potato_z)
-        kept_covs = [covs[i] for i in keep.kept]
-        kept_labels = [trial_set.labels[i] for i in keep.kept]
-        after = metrics.tangent_embed(kept_covs, kept_labels)
-        metrics.write_embedding_csv(after, out / "embed_after.csv", centers)
-        artifacts += ["embed_before.csv", "embed_after.csv"]
-        print(f"embedded {len(covs)} trials; potato kept {len(keep.kept)}")
+        kept = mdrm.potato_filter(covs, z_threshold=args.potato_z).kept
+        embeddings = {"embed_before.csv": before,
+                      "embed_after.csv": metrics.tangent_embed(
+                          [covs[i] for i in kept],
+                          [trial_set.labels[i] for i in kept])}
+    args.out.mkdir(parents=True, exist_ok=True)
+    centers = list(model.centers) if model is not None else None
+    for name, embedding in embeddings.items():
+        metrics.write_embedding_csv(embedding, args.out / name, centers)
+    if args.potato_z is None:
+        print(f"embedded {len(covs)} trials -> {args.out / 'embed.csv'}")
     else:
-        embedding = metrics.tangent_embed(covs, trial_set.labels)
-        metrics.write_embedding_csv(embedding, out / "embed.csv", centers)
-        artifacts.append("embed.csv")
-        print(f"embedded {len(covs)} trials -> {out / 'embed.csv'}")
+        print(f"embedded {len(covs)} trials; potato kept {len(kept)}")
     config = {
         "data": str(args.data),
         "model": str(args.model) if args.model else None,
@@ -328,19 +311,17 @@ def cmd_embed(args):
         "preproc": preproc.to_dict(),
         "potato_z": args.potato_z,
     }
-    _write_run_manifest(out, "embed", config, args.seed, artifacts)
+    _write_run_manifest(args.out, "embed", config, args.seed, list(embeddings))
 
 
 def cmd_potato(args):
     trial_set = synthgen.load(args.data)
     preproc, estimator = _dataset_specs(trial_set, args)
-    mdrm.check_potato_z(args.z)
-    preproc.check_trials(trial_set.trials)
-    out = _prepare_out(args.out, args.force)
     covs = [mdrm.trial_covariance(t, preproc, estimator)
             for t in trial_set.trials]
     result = mdrm.potato_filter(covs, z_threshold=args.z)
-    write_csv(out / "potato.csv",
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_csv(args.out / "potato.csv",
               ("trial", "label", "distance", "zscore", "kept"),
               [(i, trial_set.labels[i], dist, z, i in result.kept)
                for i, (dist, z) in enumerate(zip(result.distances,
@@ -349,7 +330,7 @@ def cmd_potato(args):
     for i in result.rejected:
         lab = trial_set.labels[i]
         rejected_by_class[lab] = rejected_by_class.get(lab, 0) + 1
-    write_json(out / "potato.json", {
+    write_json(args.out / "potato.json", {
         "z_threshold": args.z,
         "kept": len(result.kept),
         "rejected": len(result.rejected),
@@ -360,7 +341,7 @@ def cmd_potato(args):
         "data": str(args.data), "z": args.z,
         "estimator": estimator.to_dict(), "preproc": preproc.to_dict(),
     }
-    _write_run_manifest(out, "potato", config, args.seed,
+    _write_run_manifest(args.out, "potato", config, args.seed,
                         ["potato.csv", "potato.json"])
     print(f"potato kept {len(result.kept)} of {len(covs)} trials "
           f"at z <= {args.z}")
@@ -455,6 +436,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.out.exists() and any(args.out.iterdir()) and not args.force:
+            raise ValidationError(f"output directory {args.out} is not "
+                                  f"empty; pass --force to reuse it")
         args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -333,15 +333,6 @@ def _cholesky_or_neither(base, point_name, name):
             f"neither {point_name} nor {name} is positive definite") from exc
 
 
-def check_mean_solver(tolerance, max_iterations):
-    """Refuse a :func:`karcher_mean` setting it cannot run with; callers
-    that take the setting from a user check it here before any work."""
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValidationError("max_iterations must be at least 1")
-
-
 def _point_mean(stack):
     """Mean over axis 1 of an (R, N, C, C) stack, added in point order as
     ``sum`` adds a list (a numpy reduction's bits would depend on R)."""
@@ -382,7 +373,12 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
     the offending point as ``points[i]``, or ``points[r, i]`` for R
     problems.
     """
-    check_mean_solver(tolerance, max_iterations)
+    if not tolerance > 0:
+        raise ValidationError("tolerance must be positive")
+    if not math.isfinite(tolerance):
+        raise ValidationError("tolerance must be finite")
+    if max_iterations < 1:
+        raise ValidationError("max_iterations must be at least 1")
     batch = getattr(points, "ndim", None) == 4
     groups = points if batch else [points]
 

@@ -8,6 +8,7 @@ centers are computed.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,9 +25,9 @@ from .preprocessing import (
     DEFAULT_HALF_BANDWIDTH,
     DEFAULT_STIM_FREQS,
     FilterSpec,
+    check_latency,
     design_bands,
     extend_trial,
-    latency_samples,
     trim_latency,
 )
 
@@ -78,8 +79,7 @@ class PreprocSpec:
     def __post_init__(self):
         object.__setattr__(self, "stim_freqs",
                            tuple(float(f) for f in self.stim_freqs))
-        if self.latency_seconds < 0:
-            raise ValidationError("latency must be nonnegative")
+        check_latency(self.latency_seconds)
         for freq in self.stim_freqs:
             FilterSpec(freq, self.half_bandwidth, self.filter_order,
                        self.sample_rate)
@@ -98,16 +98,6 @@ class PreprocSpec:
             raise ValidationError(
                 f"trial sample rate {sample_rate} does not match the "
                 f"model's {self.sample_rate}")
-
-    def check_trials(self, trials):
-        """Refuse, before any work, the trials :func:`preprocess_trial`
-        would refuse: one at another sample rate, or one that this
-        latency leaves no data in."""
-        for trial in trials:
-            self.check_sample_rate(trial.sample_rate)
-        shortest = min(trials, key=lambda t: t.samples)
-        latency_samples(self.latency_seconds, shortest.samples,
-                        shortest.sample_rate)
 
     @classmethod
     def for_trial_set(cls, trial_set, **overrides):
@@ -206,7 +196,6 @@ def train(trial_set, estimator_spec=None, preproc_spec=None,
     used (shrinkage) and, when the potato filter ran, per-class rejection
     counts so the caller can veto overzealous filtering.
     """
-    check_train_settings(potato_z, mean_tolerance, mean_max_iterations)
     if estimator_spec is None:
         estimator_spec = EstimatorSpec()
     if preproc_spec is None:
@@ -284,23 +273,6 @@ def classify(trial, model):
     return classify_covariance(cov, model)
 
 
-def check_potato_z(z_threshold):
-    """Refuse an outlier threshold :func:`potato_filter` cannot use;
-    callers that take it from a user check it here before any work."""
-    if z_threshold <= 0:
-        raise ValidationError("z_threshold must be positive")
-
-
-def check_train_settings(
-        potato_z=None, mean_tolerance=manifold.DEFAULT_MEAN_TOLERANCE,
-        mean_max_iterations=manifold.DEFAULT_MEAN_MAX_ITERATIONS):
-    """Refuse a :func:`train` setting before any work: a potato threshold
-    or a mean-solver setting that the filter or the solver would refuse."""
-    if potato_z is not None:
-        check_potato_z(potato_z)
-    manifold.check_mean_solver(mean_tolerance, mean_max_iterations)
-
-
 def potato_filter(covs, z_threshold=DEFAULT_POTATO_Z):
     """Keep covariances whose distance to the pooled mean is unexceptional.
 
@@ -309,7 +281,10 @@ def potato_filter(covs, z_threshold=DEFAULT_POTATO_Z):
     ``z_threshold``. A near-zero distance spread means nothing can be an
     outlier: everything is kept and the result is flagged degenerate.
     """
-    check_potato_z(z_threshold)
+    if not z_threshold > 0:
+        raise ValidationError("z_threshold must be positive")
+    if not math.isfinite(z_threshold):
+        raise ValidationError("z_threshold must be finite")
     if len(covs) < 2:
         raise ValidationError("outlier filtering needs at least 2 matrices")
     reference = manifold.karcher_mean(covs, POOLED_MEAN_TOLERANCE,

@@ -23,6 +23,7 @@ from .mdrm import (
     PreprocSpec,
     preprocess_trial,
 )
+from .preprocessing import trim_latency
 
 
 def accuracy(predicted, truth):
@@ -124,7 +125,7 @@ class BenchConfig:
             raise ValidationError("replications must be positive")
         if not self.trial_lengths_seconds:
             raise ValidationError("at least one trial length is required")
-        if any(length <= 0 for length in self.trial_lengths_seconds):
+        if not all(length > 0 for length in self.trial_lengths_seconds):
             raise ValidationError("trial lengths must be positive")
 
 
@@ -236,7 +237,9 @@ def benchmark_pools(trial_set, config, preproc):
                 f"trial length {length} s exceeds the shortest trial "
                 f"({min_duration} s)")
     shortest = min(config.trial_lengths_seconds)
-    preproc.check_trials([_crop(t, shortest) for t in trial_set.trials])
+    for trial in trial_set.trials:  # as preprocess_trial would refuse
+        preproc.check_sample_rate(trial.sample_rate)
+        trim_latency(_crop(trial, shortest), preproc.latency_seconds)
     by_class = {}
     for i, lab in enumerate(trial_set.labels):
         by_class.setdefault(lab, []).append(i)

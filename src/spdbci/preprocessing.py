@@ -13,6 +13,7 @@ persists across epochs because epochs are windows into one continuously
 filtered stream.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,9 @@ class FilterSpec:
     sample_rate: float
 
     def __post_init__(self):
-        if self.center_freq <= 0 or self.half_bandwidth <= 0:
+        if not (self.center_freq > 0 and self.half_bandwidth > 0):
             raise ValidationError("center_freq and half_bandwidth must be positive")
-        if self.sample_rate <= 0:
+        if not self.sample_rate > 0:
             raise ValidationError("sample_rate must be positive")
         if self.order < 2 or self.order % 2 != 0:
             raise ValidationError("order must be an even integer >= 2")
@@ -68,6 +69,8 @@ class EpochPlan:
             raise ValidationError(
                 f"epoch plan requires window > step > 0, got "
                 f"window={self.window_seconds}, step={self.step_seconds}")
+        if not math.isfinite(self.window_seconds):
+            raise ValidationError("window must be finite")
 
     def window_samples(self, sample_rate):
         return int(np.floor(self.window_seconds * sample_rate))
@@ -232,18 +235,25 @@ def extend_trial(trial, stim_freqs, half_bandwidth=DEFAULT_HALF_BANDWIDTH,
     return Trial(bank.process(trial.values), trial.sample_rate)
 
 
-def latency_samples(latency_seconds, samples, sample_rate):
-    """The floor(latency * fs) samples a latency drops from the head of a
-    ``samples``-sample trial; raises ValidationError when the latency is
-    negative or leaves no data."""
+def check_latency(latency_seconds):
+    """Refuse a latency that is negative or not finite."""
     if latency_seconds < 0:
         raise ValidationError("latency must be nonnegative")
-    skip = int(np.floor(latency_seconds * sample_rate))
+    if not math.isfinite(latency_seconds):
+        raise ValidationError("latency must be finite")
+
+
+def latency_samples(latency_seconds, samples, sample_rate):
+    """The floor(latency * fs) samples a latency drops from the head of a
+    ``samples``-sample trial; raises ValidationError when the latency
+    fails :func:`check_latency` or leaves no data."""
+    check_latency(latency_seconds)
+    skip = np.floor(latency_seconds * sample_rate)
     if skip >= samples:
         raise ValidationError(
-            f"latency of {skip} samples leaves no data in a "
+            f"latency of {skip:.0f} samples leaves no data in a "
             f"{samples}-sample trial")
-    return skip
+    return int(skip)
 
 
 def trim_latency(trial, latency_seconds):

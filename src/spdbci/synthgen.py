@@ -70,12 +70,14 @@ class GenConfig:
             raise ValidationError("trial_seconds must be positive")
         if self.trials_per_class < 1:
             raise ValidationError("trials_per_class must be positive")
-        if not np.isfinite(self.snr_db):
-            raise ValidationError("snr_db must be finite")
         if self.harmonics < 0:
             raise ValidationError("harmonics must be nonnegative")
         if self.transition_carryover_seconds < 0:
             raise ValidationError("transition carryover must be nonnegative")
+        for name in ("sample_rate", "trial_seconds", "snr_db",
+                     "transition_carryover_seconds"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         object.__setattr__(self, "stim_freqs",
                            tuple(float(f) for f in self.stim_freqs))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spdbci import cli, mdrm, metrics, online, synthgen
+from spdbci import cli, mdrm, metrics, online, preprocessing, synthgen
 from spdbci.estimators import EstimatorSpec
 from spdbci.mdrm import PreprocSpec
 from spdbci.metrics import BenchConfig
@@ -158,6 +158,21 @@ def test_eval_opt_column_is_the_model_preprocessing_at_latency(tmp_path,
         for t in synthgen.load(data).trials]
     rows = (out / "eval.csv").read_text().splitlines()[1:-1]
     assert [int(row.split(",")[3]) for row in rows] == expected
+
+
+def test_eval_designs_the_model_filters_once(tmp_path, trained,
+                                             monkeypatch):
+    # the "offline opt" spec differs from the model's only in latency, so
+    # it filters with the model's band-pass designs
+    data, model = trained
+    designed = []
+    design = preprocessing.design_bandpass
+    monkeypatch.setattr(preprocessing, "design_bandpass",
+                        lambda spec: designed.append(spec) or design(spec))
+    assert run("eval", "--data", data, "--model", model,
+               "--out", tmp_path / "eval") == 0
+    stim_freqs = mdrm.load_model(model).preproc_spec.stim_freqs
+    assert [spec.center_freq for spec in designed] == list(stim_freqs)
 
 
 def test_eval_deterministic(tmp_path, trained):
@@ -572,6 +587,23 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
     ("potato", ("--latency", 9), LEAVES_NO_TRIAL),
     ("bench", ("--latency", 1.0, "--lengths", "0.5,2"), LEAVES_NO_CROP),
     ("bench", ("--latency", 1.0, "--lengths", "2,0.5"), LEAVES_NO_CROP),
+    # non-finite settings
+    ("train", ("--latency", "inf"), "latency must be finite"),
+    ("eval", ("--model", MODEL, "--latency", "nan"),
+     "latency must be finite"),
+    ("train", ("--half-bandwidth", "nan"), "half_bandwidth must be positive"),
+    ("eval", ("--model", MODEL, "--window", "inf"), "window must be finite"),
+    ("potato", ("--z", "nan"), "z_threshold must be positive"),
+    ("potato", ("--z", "inf"), "z_threshold must be finite"),
+    ("train", ("--potato-z", "nan"), "z_threshold must be positive"),
+    ("embed", ("--potato-z", "nan"), "z_threshold must be positive"),
+    ("train", ("--mean-tol", "nan"), "tolerance must be positive"),
+    ("train", ("--mean-tol", "inf"), "tolerance must be finite"),
+    ("bench", ("--lengths", "nan"), "trial lengths must be positive"),
+    ("gen", ("--sample-rate", "nan"), "sample_rate must be finite"),
+    ("gen", ("--trial-seconds", "nan"), "trial_seconds must be finite"),
+    ("gen", ("--carryover", "nan"),
+     "transition_carryover_seconds must be finite"),
 ], ids=["train-estimator", "eval-step", "eval-step-below-one-sample",
         "eval-other-sample-rate",
         *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS],
@@ -579,7 +611,12 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
         "embed-potato-z", "bench-length", "bench-one-trial-per-class",
         "train-latency", "eval-latency", "eval-negative-latency",
         "embed-latency", "potato-latency",
-        "bench-latency", "bench-latency-long-length-first"])
+        "bench-latency", "bench-latency-long-length-first",
+        "train-latency-inf", "eval-latency-nan", "train-half-bandwidth-nan",
+        "eval-window-inf", "potato-z-nan", "potato-z-inf",
+        "train-potato-z-nan", "embed-potato-z-nan", "train-mean-tol-nan",
+        "train-mean-tol-inf", "bench-lengths-nan", "gen-sample-rate-nan",
+        "gen-trial-seconds-nan", "gen-carryover-nan"])
 def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
                                     argv, named):
     data, model = trained_once
@@ -590,11 +627,31 @@ def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
     if ONE_PER_CLASS in argv:
         fill[ONE_PER_CLASS] = gen_small(tmp_path, "one", trials_per_class=1)
     out = tmp_path / command
-    assert run(command, "--data", data, "--out", out,
+    data_flag = () if command == "gen" else ("--data", data)
+    assert run(command, *data_flag, "--out", out,
                *[fill.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+def test_numerical_failure_leaves_no_out(tmp_path, trained_once, capsys):
+    data, _ = trained_once
+    out = tmp_path / "model"
+    assert run("train", "--data", data, "--out", out,
+               "--mean-max-iter", 1) == 3
+    assert capsys.readouterr().err.startswith("numerical error: ")
+    assert not out.exists()
+
+
+def test_nonempty_out_is_refused_before_any_work(tmp_path, capsys):
+    out = tmp_path / "full"
+    out.mkdir()
+    (out / "kept.txt").write_text("kept")
+    # the dataset is missing too, which the refusal comes before
+    assert run("train", "--data", tmp_path / "missing", "--out", out) == 2
+    assert "is not empty; pass --force" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
 
 def test_embed_model_takes_flags_at_their_defaults(tmp_path, trained_once):
