@@ -75,8 +75,8 @@ class Trial:
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValidationError(f"trial values must be nonempty, got {values.shape}")
         check_finite(values, "trial")
-        if not self.sample_rate > 0:
-            raise ValidationError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValidationError("sample_rate must be positive and finite")
         object.__setattr__(self, "values", values)
 
     @property

@@ -333,15 +333,6 @@ def _cholesky_or_neither(base, point_name, name):
             f"neither {point_name} nor {name} is positive definite") from exc
 
 
-def _point_mean(stack):
-    """Mean over axis 1 of an (R, N, C, C) stack, added in point order as
-    ``sum`` adds a list (a numpy reduction's bits would depend on R)."""
-    total = 0.0 + stack[:, 0]
-    for i in range(1, stack.shape[1]):
-        total = total + stack[:, i]
-    return total / stack.shape[1]
-
-
 def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
                  max_iterations=DEFAULT_MEAN_MAX_ITERATIONS):
     """Geometric (Karcher) mean of SPD matrices under the geodesic distance.
@@ -364,10 +355,10 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
         Frobenius-norm threshold on the mean tangent step.
     max_iterations : int
         Iteration cap; exceeding it raises :class:`ConvergenceError`
-        carrying the last iterate and residual. For R problems these are
-        the (R, C, C) stack (converged problems hold their mean) and the
-        array of R residuals; a problem stalled where its residual is not
-        below ``tolerance``.
+        carrying the last iterate and the residual at it. For R problems
+        these are the (R, C, C) stack (converged problems hold their mean)
+        and the array of R residuals; a problem stalled where its residual
+        is not below ``tolerance``.
 
     Returns the (C, C) mean, or the (R, C, C) stack of them. Errors name
     the offending point as ``points[i]``, or ``points[r, i]`` for R
@@ -444,7 +435,7 @@ def _lockstep_mean(pts, lo, name, tolerance, max_iterations):
     owner = np.array([r for r, _ in first])
     members = pts[owner, [i for _, i in first]]
     member_names = np.array([name(lo + r, i) for r, i in first], dtype=object)
-    mean = _point_mean(pts)
+    mean = pts.mean(axis=1)
     result = np.empty_like(mean)
     final_residual = np.full(count, np.inf)
     active = np.arange(count)
@@ -452,16 +443,15 @@ def _lockstep_mean(pts, lo, name, tolerance, max_iterations):
     # the previous half, step and residual of each active problem; a NaN
     # residual means no previous iterate, since no comparison holds
     previous = (None, None, np.full(count, np.nan))
-    for _ in range(max_iterations):
+    # a stalled problem reports the residual of the iterate it returns, so
+    # the last step is followed by one more residual
+    for iteration in range(max_iterations + 1):
         half, inv_half = _whitening(mean, "mean iterate")
         logs = _whitened_logs(inv_half[owner], members, member_names)
-        step = _point_mean(logs[where])
+        step = logs[where].mean(axis=1)
         # residual is the Frobenius norm of the mean tangent step expressed
-        # at the iterate, i.e. of mean_n log_map(G, P_n), taken as
-        # np.linalg.norm takes it (the root of a raveled dot) one problem
-        # at a time, so that its bits do not depend on the batch
-        moved = (half @ step @ half).reshape(len(half), -1)
-        residual = np.sqrt([m.dot(m) for m in moved])
+        # at the iterate, i.e. of mean_n log_map(G, P_n)
+        residual = np.linalg.norm(half @ step @ half, axis=(1, 2))
 
         done = residual < tolerance
         if done.any():
@@ -477,6 +467,8 @@ def _lockstep_mean(pts, lo, name, tolerance, max_iterations):
             members, member_names = members[kept], member_names[kept]
             owner = (np.cumsum(keep) - 1)[owner[kept]]
             where = (np.cumsum(kept) - 1)[where[keep]]
+        if iteration == max_iterations:
+            break
         # The full step overshoots once points are spread far apart; back
         # off to the previous iterate with a smaller step. For tightly
         # clustered inputs this never triggers and the iteration is the

@@ -61,16 +61,17 @@ def itr(accuracy_fraction, classes, selections_per_minute):
 
 
 def scores_from_distances(dists):
-    """Map a class-distance vector to probability-like scores.
+    """Map a class-distance vector, or a stack of them along the last axis,
+    to probability-like scores.
 
     Normalized distances are inverted so the nearest class scores the
-    highest; the scores are nonnegative and sum to one.
+    highest; each vector's scores are nonnegative and sum to one.
     """
     dists = np.asarray(dists, dtype=float)
-    k = dists.size
+    k = dists.shape[-1] if dists.ndim else 1
     if k < 2:
         raise ValidationError("need at least 2 classes")
-    delta = dists / dists.sum()
+    delta = dists / dists.sum(axis=-1, keepdims=True)
     return (1.0 - delta) / (k - 1)
 
 
@@ -215,15 +216,6 @@ class _Estimates:
         return self.covs, kappa, self.stalled
 
 
-def _estimate_all(trials, spec):
-    """``(covariances, mean kappa or None, stalled count)`` of one spec
-    over ``trials``, in order."""
-    estimates = _Estimates(spec)
-    for trial in trials:
-        estimates.add(trial)
-    return estimates.result()
-
-
 def benchmark_pools(trial_set, config, preproc):
     """Trial indices of each class, after checking that ``trial_set`` can
     run ``config`` under ``preproc``: every crop fits the shortest trial,
@@ -318,8 +310,8 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
             distinct, row = np.unique(test_idx, return_inverse=True)
             dists = manifold.distance(covs[distinct],
                                       np.array([c[r] for c in centers]))
-            predictions = [int(np.argmin(dists[j])) + 1 for j in row]
-            scores = np.array([scores_from_distances(dists[j]) for j in row])
+            predictions = (np.argmin(dists, axis=1) + 1)[row].tolist()
+            scores = scores_from_distances(dists)[row]
             truth = [labels[i] for i in test_idx]
             runs.append((predictions, scores, truth, int(stalled[r])))
         return runs

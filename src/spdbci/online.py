@@ -106,43 +106,6 @@ def curve_criterion(deltas, candidate):
     return value, value < 0.0
 
 
-class _WindowBuffer:
-    """Filtered samples from the first one a later epoch still needs.
-
-    The first ``len`` columns hold the latest samples in order. An append
-    that would overflow first drops the samples before the start of the
-    window that ends with the appended chunk and moves the rest to the
-    front. Chunks are filter blocks of at most one step, shorter than a
-    window, so two windows always suffice, and each move copies fewer
-    samples than were appended since the previous one.
-    """
-
-    def __init__(self, rows, window, sample_rate):
-        self._data = np.empty((rows, 2 * window))
-        self._window = window
-        self._sample_rate = sample_rate
-        self._len = 0
-
-    @property
-    def capacity(self):
-        return self._data.shape[1]
-
-    def append(self, chunk):
-        m = chunk.shape[1]
-        if self._len + m > self.capacity:
-            drop = self._len + m - self._window
-            kept = self._data[:, drop:self._len]
-            self._data[:, :kept.shape[1]] = kept
-            self._len = kept.shape[1]
-        self._data[:, self._len:self._len + m] = chunk
-        self._len += m
-
-    def last_window(self):
-        """The window that ends with the last appended sample, as a Trial."""
-        return Trial(self._data[:, self._len - self._window:self._len],
-                     self._sample_rate)
-
-
 class _MomentRing:
     """Block :class:`~spdbci.estimators.Moments` of the last window.
 
@@ -254,12 +217,13 @@ class OnlineState:
         # raw samples after the last block boundary
         self._raw = np.empty((self.channels, 0))
         self._filtered = 0
-        # the SCM and shrinkage estimates need only the window's moments
+        # the SCM and shrinkage estimates need only the window's moments;
+        # the others read the window's filtered samples
         self._moments = model.estimator_spec.kind in MOMENT_KINDS
         if self._moments:
             self._buffer = _MomentRing(model.dim, self._w, self._step)
         else:
-            self._buffer = _WindowBuffer(model.dim, self._w, self.sample_rate)
+            self._window = np.empty((model.dim, 0))
         self._gate = _Gate(self.config)
         self.epoch_index = 0
         self.samples_seen = 0
@@ -304,14 +268,17 @@ class OnlineState:
                 pos += self._next_block
                 self._filtered += self._next_block
                 self._next_block = self._step
-                self._buffer.append(self._bank.process(block))
+                filtered = self._bank.process(block)
+                if self._moments:
+                    self._buffer.append(filtered)
+                else:
+                    self._window = np.hstack(
+                        [self._window, filtered])[:, -self._w:]
                 # from the first window on, every block boundary ends an
                 # epoch
                 if self._filtered >= self._w:
-                    window = self._buffer.last_window()
-                    if not self._moments:
-                        # a window view is overwritten by the next block
-                        window = self._estimate(window)
+                    window = self._buffer.last_window() if self._moments \
+                        else self._estimate()
                     pending.append((self._filtered, window))
                     if len(pending) == _SCORE_CHUNK:
                         decisions += self._score(*zip(*pending))
@@ -327,10 +294,11 @@ class OnlineState:
                                               self._step))
         return decisions
 
-    def _estimate(self, window):
+    def _estimate(self):
         """The covariance of the epoch that ends with the last block."""
         try:
-            return estimate(window, self.model.estimator_spec)
+            return estimate(Trial(self._window, self.sample_rate),
+                            self.model.estimator_spec)
         except ValidationError as exc:
             raise self._unscorable(self._filtered, str(exc)) from exc
 

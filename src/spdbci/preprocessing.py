@@ -43,8 +43,8 @@ class FilterSpec:
     def __post_init__(self):
         if not (self.center_freq > 0 and self.half_bandwidth > 0):
             raise ValidationError("center_freq and half_bandwidth must be positive")
-        if not self.sample_rate > 0:
-            raise ValidationError("sample_rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValidationError("sample_rate must be positive and finite")
         if self.order < 2 or self.order % 2 != 0:
             raise ValidationError("order must be an even integer >= 2")
         if self.center_freq + self.half_bandwidth >= self.sample_rate / 2.0:

@@ -78,8 +78,17 @@ class GenConfig:
                      "transition_carryover_seconds"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
+        if not np.isfinite(self.trial_seconds * self.sample_rate):
+            raise ValidationError("the sample count trial_seconds * "
+                                  "sample_rate must be finite")
         object.__setattr__(self, "stim_freqs",
                            tuple(float(f) for f in self.stim_freqs))
+        # the Nyquist limit depends on the half-bandwidth, so the commands
+        # that filter check it
+        if not all(0 < f < np.inf for f in self.stim_freqs):
+            raise ValidationError(
+                f"stimulus frequencies must be positive and finite, got "
+                f"{list(self.stim_freqs)}")
 
     @property
     def class_count(self):
@@ -184,7 +193,7 @@ def generate(config):
             out += g * np.sin(2.0 * np.pi * f * (h + 1) * t[None, :] + ph)
         return a * out
 
-    head = min(int(np.floor(config.transition_carryover_seconds * fs)), n)
+    head = int(min(np.floor(config.transition_carryover_seconds * fs), n))
     trials = []
     prev_label = None
     for idx, label in enumerate(labels):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import shutil
 import struct
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -604,6 +605,10 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
     ("gen", ("--trial-seconds", "nan"), "trial_seconds must be finite"),
     ("gen", ("--carryover", "nan"),
      "transition_carryover_seconds must be finite"),
+    ("gen", ("--trial-seconds", "1e308"), "sample count"),
+    ("gen", ("--stim-freqs", "-5"), "stimulus frequencies must be positive"),
+    ("gen", ("--stim-freqs", "13,inf"),
+     "stimulus frequencies must be positive and finite"),
 ], ids=["train-estimator", "eval-step", "eval-step-below-one-sample",
         "eval-other-sample-rate",
         *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS],
@@ -616,7 +621,9 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
         "eval-window-inf", "potato-z-nan", "potato-z-inf",
         "train-potato-z-nan", "embed-potato-z-nan", "train-mean-tol-nan",
         "train-mean-tol-inf", "bench-lengths-nan", "gen-sample-rate-nan",
-        "gen-trial-seconds-nan", "gen-carryover-nan"])
+        "gen-trial-seconds-nan", "gen-carryover-nan",
+        "gen-trial-seconds-overflow", "gen-stim-freqs-negative",
+        "gen-stim-freqs-inf"])
 def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
                                     argv, named):
     data, model = trained_once
@@ -628,18 +635,23 @@ def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
         fill[ONE_PER_CLASS] = gen_small(tmp_path, "one", trials_per_class=1)
     out = tmp_path / command
     data_flag = () if command == "gen" else ("--data", data)
-    assert run(command, *data_flag, "--out", out,
-               *[fill.get(a, a) for a in argv]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert run(command, *data_flag, "--out", out,
+                   *[fill.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    # a refusal prints its message alone, with no numpy warning before it
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
 def test_numerical_failure_leaves_no_out(tmp_path, trained_once, capsys):
     data, _ = trained_once
     out = tmp_path / "model"
+    # one step brings these class means within the default 1e-8, not 1e-12
     assert run("train", "--data", data, "--out", out,
-               "--mean-max-iter", 1) == 3
+               "--mean-max-iter", 1, "--mean-tol", 1e-12) == 3
     assert capsys.readouterr().err.startswith("numerical error: ")
     assert not out.exists()
 

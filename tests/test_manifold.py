@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import linalg
 
 from spdbci import manifold, mdrm
 from spdbci.errors import ConvergenceError, NumericalError, ValidationError
@@ -578,6 +579,32 @@ def test_karcher_mean_nonconvergence_carries_iterate():
     assert err.value.last_iterate is not None
     assert err.value.last_iterate.shape == (4, 4)
     assert err.value.residual > 0
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_stalled_mean_reports_the_residual_of_its_last_iterate(cap):
+    # the residual is the Frobenius norm of the mean log map at the
+    # returned iterate, as generalized eigenvectors of (P, G) compute it
+    rng = np.random.default_rng(23)
+    problems = np.array([[random_spd(rng, 4, spread=2.0) for _ in range(5)]
+                         for _ in range(3)])
+
+    def reference(mean, points):
+        step = np.zeros_like(mean)
+        for point in points:
+            w, v = linalg.eigh(point, mean)
+            step += (v * np.log(w)) @ v.T
+        return np.linalg.norm(mean @ step @ mean / len(points))
+
+    with pytest.raises(ConvergenceError) as single:
+        manifold.karcher_mean(problems[0], 1e-14, cap)
+    assert single.value.residual == pytest.approx(
+        reference(single.value.last_iterate, problems[0]), rel=1e-10)
+    with pytest.raises(ConvergenceError) as batch:
+        manifold.karcher_mean(problems, 1e-14, cap)
+    assert batch.value.residual == pytest.approx(
+        [reference(m, p) for m, p in zip(batch.value.last_iterate, problems)],
+        rel=1e-10)
 
 
 # (seed, R, N, dim, log10 of each matrix's condition number, tolerance,

@@ -114,8 +114,13 @@ def test_scores_from_distances():
     scores = metrics.scores_from_distances(np.array([1.0, 3.0, 4.0, 2.0]))
     assert scores.sum() == pytest.approx(1.0)
     assert np.argmax(scores) == 0  # nearest class scores highest
-    with pytest.raises(ValidationError):
-        metrics.scores_from_distances(np.array([1.0]))
+    # a (T, K) stack scores each row as the row alone does, bit for bit
+    stack = np.random.default_rng(0).uniform(0.1, 7.0, size=(9, 4))
+    rows = np.array([metrics.scores_from_distances(d) for d in stack])
+    assert np.array_equal(metrics.scores_from_distances(stack), rows)
+    for too_few in (np.array([1.0]), 1.0, np.ones((3, 1)), np.ones((3, 0))):
+        with pytest.raises(ValidationError):
+            metrics.scores_from_distances(too_few)
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +430,17 @@ def _reference_rows(ts, config, pre):
 
     rows = []
     for length in config.trial_lengths_seconds:
-        trials = [preprocess_trial(metrics._crop(t, length), pre)
-                  for t in ts.trials]
-        scm_covs = metrics._estimate_all(trials, EstimatorSpec(kind="scm"))[0]
+        baseline, *estimates = [
+            metrics._Estimates(spec)
+            for spec in (EstimatorSpec(kind="scm"), *config.estimators)]
+        for t in ts.trials:
+            trial = preprocess_trial(metrics._crop(t, length), pre)
+            for spec_estimates in (baseline, *estimates):
+                spec_estimates.add(trial)
+        scm_covs = baseline.result()[0]
         scm_runs = [evaluate_split(tr, te, scm_covs) for tr, te in splits]
-        for spec in config.estimators:
-            covs, kappa, stalled_estimates = metrics._estimate_all(trials, spec)
+        for spec, spec_estimates in zip(config.estimators, estimates):
+            covs, kappa, stalled_estimates = spec_estimates.result()
             runs = [evaluate_split(tr, te, covs) for tr, te in splits]
             accs = [metrics.accuracy(p, t) for p, _, t, _ in runs]
             itrs = [metrics.itr(a / 100.0, k, 60.0 / length) for a in accs]

@@ -381,7 +381,7 @@ def test_trailing_samples_wait_for_the_next_block(trained):
 
 
 def test_buffer_bounded_and_frame_size_invariant(trained):
-    # 48 s of stream: the two-window buffer is compacted many times over.
+    # 48 s of stream: the moment ring turns over many times.
     model, test = trained
     stream = np.hstack([t.values for t in test.trials])
     runs = []

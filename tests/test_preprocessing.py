@@ -63,6 +63,13 @@ def test_filter_spec_validation():
         pp.FilterSpec(-5.0, 1.0, 8, FS)
 
 
+def test_infinite_sample_rates_are_refused():
+    with pytest.raises(ValidationError, match="sample_rate must be"):
+        pp.design_bandpass(pp.FilterSpec(13.0, 1.0, 8, np.inf))
+    with pytest.raises(ValidationError, match="sample_rate must be"):
+        Trial(np.ones((2, 3)), np.inf)
+
+
 def test_design_rejects_nonpositive_low_edge():
     with pytest.raises(FilterDesignError):
         pp.design_bandpass(pp.FilterSpec(0.5, 1.0, 8, FS))

@@ -100,6 +100,17 @@ def test_carryover_head_keeps_previous_frequency():
     assert checked > 0
 
 
+def test_carryover_longer_than_a_trial_covers_the_trial():
+    def values(carryover):
+        ts = synthgen.generate(synthgen.GenConfig(
+            seed=4, trials_per_class=1, trial_seconds=0.5,
+            transition_carryover_seconds=carryover))
+        return [t.values for t in ts.trials]
+
+    # 1e308 s is finite, but not as a sample count
+    assert np.array_equal(values(1e308), values(0.5))
+
+
 def test_gen_config_validation():
     with pytest.raises(ValidationError):
         synthgen.GenConfig(channels=0)
