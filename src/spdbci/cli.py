@@ -1,9 +1,10 @@
 """Command-line workflows: gen, train, eval, bench, embed, potato.
 
 Every command takes ``--out`` and writes its artifacts plus a
-``run_manifest.json`` that records the command, configuration, seed, and
-artifact list, enough to re-run it. All randomness flows from ``--seed``;
-no wall-clock entropy is used, so reruns are byte-identical. A non-empty
+``run_manifest.json`` that records the command, its flags as given (the
+seed under its own key; not ``--out`` or ``--force``) and the artifact
+list, enough to re-run it. All randomness flows from ``--seed``; no wall-clock
+entropy is used, so reruns are byte-identical. A non-empty
 ``--out`` is refused before any work unless ``--force`` is given; a
 command creates ``--out`` only once its work has succeeded.
 
@@ -17,7 +18,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from . import __version__, mdrm, metrics, online, synthgen
+from . import __version__, manifold, mdrm, metrics, online, synthgen
 from .errors import DataFormatError, NumericalError, ValidationError
 from .estimators import EstimatorSpec, RankDeficientCovarianceWarning, \
     spec_from_name
@@ -43,11 +44,14 @@ def _float_list(text):
     return values
 
 
-def _write_run_manifest(out, command, config, seed, artifacts):
-    write_json(out / "run_manifest.json", {
-        "command": command,
+def _write_run_manifest(args, artifacts):
+    config = {name: str(value) if isinstance(value, Path) else value
+              for name, value in vars(args).items()
+              if name not in ("command", "func", "out", "force", "seed")}
+    write_json(args.out / "run_manifest.json", {
+        "command": args.command,
         "config": config,
-        "seed": seed,
+        "seed": args.seed,
         "artifacts": sorted(artifacts),
         "library_version": __version__,
     })
@@ -124,40 +128,26 @@ def cmd_gen(args):
     synthgen.save(trial_set, args.out)
     artifacts = ["manifest.json", "labels.csv"] + \
         [f"trial_{i:04d}.f64" for i in range(len(trial_set.trials))]
-    _write_run_manifest(args.out, "gen", config.to_dict(), args.seed,
-                        artifacts)
+    _write_run_manifest(args, artifacts)
     print(f"wrote {len(trial_set.trials)} trials "
           f"({config.class_count} classes) to {args.out}")
 
 
 def cmd_train(args):
     trial_set = synthgen.load(args.data)
-    estimator = _estimator(args)
-    preproc = _dataset_preproc(trial_set, args)
-    mean_kwargs = {}
-    if args.mean_tol is not None:
-        mean_kwargs["mean_tolerance"] = args.mean_tol
-    if args.mean_max_iter is not None:
-        mean_kwargs["mean_max_iterations"] = args.mean_max_iter
-    model, report = mdrm.train(trial_set, estimator, preproc,
-                               potato_z=args.potato_z, **mean_kwargs)
+    model, report = mdrm.train(trial_set, _estimator(args),
+                               _dataset_preproc(trial_set, args),
+                               potato_z=args.potato_z,
+                               mean_tolerance=args.mean_tol,
+                               mean_max_iterations=args.mean_max_iter)
     args.out.mkdir(parents=True, exist_ok=True)
     mdrm.save_model(model, args.out / "model.mdrm")
     write_json(args.out / "train_report.json", report)
-    config = {
-        "data": str(args.data),
-        "estimator": estimator.to_dict(),
-        "preproc": preproc.to_dict(),
-        "potato_z": args.potato_z,
-        "mean_tol": args.mean_tol,
-        "mean_max_iter": args.mean_max_iter,
-    }
-    _write_run_manifest(args.out, "train", config, args.seed,
-                        ["model.mdrm", "train_report.json"])
+    _write_run_manifest(args, ["model.mdrm", "train_report.json"])
     if "potato" in report:
-        pot = report["potato"]
-        print(f"potato filter: kept {pot['kept']}, rejected "
-              f"{pot['rejected']} (per class {pot['rejected_by_class']})")
+        _, kept, rejected, per_class, _ = report["potato"].values()
+        print(f"potato filter: kept {kept}, rejected {rejected} "
+              f"(per class {per_class})")
     print(f"trained {model.class_count}-class model "
           f"(dim {model.dim}) -> {args.out / 'model.mdrm'}")
 
@@ -213,14 +203,8 @@ def cmd_eval(args):
         "online_curve_held_back": curved.held_back_count,
     }
     write_json(args.out / "eval.json", summary)
-    config = {
-        "data": str(args.data), "model": str(args.model),
-        "latency": args.latency, "window": args.window, "step": args.step,
-        "depth": args.depth, "theta": args.theta,
-    }
-    _write_run_manifest(args.out, "eval", config, args.seed,
-                        ["eval.csv", "eval.json", "epochs_online.csv",
-                         "epochs_online_curve.csv"])
+    _write_run_manifest(args, ["eval.csv", "eval.json", "epochs_online.csv",
+                               "epochs_online_curve.csv"])
     print(f"offline {summary['offline_acc']:.2f}% | "
           f"offline opt {summary['offline_opt_acc']:.2f}% | "
           f"online {csv_cell(summary['online_acc'])}% "
@@ -251,15 +235,7 @@ def cmd_bench(args):
     args.out.mkdir(parents=True, exist_ok=True)
     report.to_csv(args.out / "bench.csv")
     report.to_json(args.out / "bench.json")
-    manifest_config = {
-        "data": str(args.data),
-        "replications": args.replications,
-        "lengths": list(args.lengths),
-        "estimators": [s.to_dict() for s in specs],
-        "preproc": preproc.to_dict(),
-    }
-    _write_run_manifest(args.out, "bench", manifest_config, args.seed,
-                        ["bench.csv", "bench.json"])
+    _write_run_manifest(args, ["bench.csv", "bench.json"])
     print(f"benchmarked {len(specs)} estimators x {len(args.lengths)} "
           f"lengths x {args.replications} replications -> "
           f"{args.out / 'bench.csv'}")
@@ -304,14 +280,7 @@ def cmd_embed(args):
         print(f"embedded {len(covs)} trials -> {args.out / 'embed.csv'}")
     else:
         print(f"embedded {len(covs)} trials; potato kept {len(kept)}")
-    config = {
-        "data": str(args.data),
-        "model": str(args.model) if args.model else None,
-        "estimator": estimator.to_dict(),
-        "preproc": preproc.to_dict(),
-        "potato_z": args.potato_z,
-    }
-    _write_run_manifest(args.out, "embed", config, args.seed, list(embeddings))
+    _write_run_manifest(args, list(embeddings))
 
 
 def cmd_potato(args):
@@ -326,23 +295,9 @@ def cmd_potato(args):
               [(i, trial_set.labels[i], dist, z, i in result.kept)
                for i, (dist, z) in enumerate(zip(result.distances,
                                                  result.zscores))])
-    rejected_by_class = {}
-    for i in result.rejected:
-        lab = trial_set.labels[i]
-        rejected_by_class[lab] = rejected_by_class.get(lab, 0) + 1
-    write_json(args.out / "potato.json", {
-        "z_threshold": args.z,
-        "kept": len(result.kept),
-        "rejected": len(result.rejected),
-        "rejected_by_class": rejected_by_class,
-        "degenerate": result.degenerate,
-    })
-    config = {
-        "data": str(args.data), "z": args.z,
-        "estimator": estimator.to_dict(), "preproc": preproc.to_dict(),
-    }
-    _write_run_manifest(args.out, "potato", config, args.seed,
-                        ["potato.csv", "potato.json"])
+    write_json(args.out / "potato.json", result.summary(
+        trial_set.labels, trial_set.class_count, args.z))
+    _write_run_manifest(args, ["potato.csv", "potato.json"])
     print(f"potato kept {len(result.kept)} of {len(covs)} trials "
           f"at z <= {args.z}")
 
@@ -378,9 +333,11 @@ def build_parser():
     p_train.add_argument("--potato-z", type=float,
                          help="enable outlier filtering at this z threshold")
     p_train.add_argument("--mean-tol", type=float,
+                         default=manifold.DEFAULT_MEAN_TOLERANCE,
                          help="center solver tolerance (loosen for very "
                               "spread covariances)")
-    p_train.add_argument("--mean-max-iter", type=int)
+    p_train.add_argument("--mean-max-iter", type=int,
+                         default=manifold.DEFAULT_MEAN_MAX_ITERATIONS)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="offline and online evaluation")

@@ -168,6 +168,19 @@ class PotatoResult:
     zscores: tuple
     degenerate: bool = False
 
+    def summary(self, labels, class_count, z_threshold):
+        """The filter's report on trials labelled ``labels`` (1-based):
+        ``z_threshold``, the kept and rejected counts, the rejections of
+        each class 1..``class_count`` (zeros included) and ``degenerate``,
+        in that order."""
+        rejected_by_class = dict.fromkeys(range(1, class_count + 1), 0)
+        for i in self.rejected:
+            rejected_by_class[labels[i]] += 1
+        return {"z_threshold": z_threshold, "kept": len(self.kept),
+                "rejected": len(self.rejected),
+                "rejected_by_class": rejected_by_class,
+                "degenerate": self.degenerate}
+
 
 def preprocess_trial(trial, preproc):
     """Trim cue latency and build the frequency-stacked extended trial."""
@@ -214,23 +227,14 @@ def train(trial_set, estimator_spec=None, preproc_spec=None,
     report = {"trials": len(covs), "class_count": k}
     if potato_z is not None:
         potato = potato_filter(covs, z_threshold=potato_z)
-        rejected_by_class = {cls: 0 for cls in range(1, k + 1)}
-        for i in potato.rejected:
-            rejected_by_class[labels[i]] += 1
-        report["potato"] = {
-            "z_threshold": potato_z,
-            "kept": len(potato.kept),
-            "rejected": len(potato.rejected),
-            "rejected_by_class": rejected_by_class,
-            "degenerate": potato.degenerate,
-        }
+        report["potato"] = potato.summary(labels, k, potato_z)
         covs = [covs[i] for i in potato.kept]
         labels = [labels[i] for i in potato.kept]
         for cls in range(1, k + 1):
             if cls not in labels:
                 raise ValidationError(
                     f"outlier filter removed every trial of class {cls}; "
-                    f"lower the z threshold")
+                    f"raise the z threshold")
 
     def class_mean(cls):
         members = [cov for cov, lab in zip(covs, labels) if lab == cls]

@@ -73,10 +73,10 @@ class EpochPlan:
             raise ValidationError("window must be finite")
 
     def window_samples(self, sample_rate):
-        return int(np.floor(self.window_seconds * sample_rate))
+        return _sample_count(self.window_seconds, sample_rate, "window")
 
     def step_samples(self, sample_rate):
-        d_s = int(np.floor(self.step_seconds * sample_rate))
+        d_s = _sample_count(self.step_seconds, sample_rate, "step")
         if d_s < 1:
             raise ValidationError(
                 f"a step of {self.step_seconds} s is shorter than one "
@@ -91,6 +91,16 @@ class EpochPlan:
         w_s = self.window_samples(sample_rate)
         d_s = self.step_samples(sample_rate)
         return w_s % d_s or d_s, d_s
+
+
+def _sample_count(seconds, sample_rate, name):
+    """``floor(seconds * sample_rate)``, refused when it is not finite."""
+    count = np.floor(seconds * sample_rate)
+    if not math.isfinite(count):
+        raise ValidationError(
+            f"a {name} of {seconds} s at {sample_rate} Hz has no finite "
+            f"sample count")
+    return int(count)
 
 
 def design_bandpass(spec):

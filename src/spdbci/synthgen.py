@@ -179,7 +179,14 @@ def generate(config):
     harmonic_gain = 1.0 / (1.0 + np.arange(config.harmonics + 1))
     noise_power = float(np.sum(noise_scale ** 2))
     sig_unit_power = 0.5 * np.sum(harmonic_gain ** 2) * np.sum(amp ** 2, axis=1)
-    gain = np.sqrt(10.0 ** (config.snr_db / 10.0) * noise_power / sig_unit_power)
+    try:
+        snr = 10.0 ** (config.snr_db / 10.0)
+    except OverflowError:
+        snr = np.inf
+    gain = np.sqrt(snr * noise_power / sig_unit_power)
+    if not np.isfinite(gain).all():
+        raise ValidationError(f"snr_db {config.snr_db} gives a signal gain "
+                              f"that is not finite")
 
     def class_signal(label, t):
         """Source-space signal of a class over global time t; rest is silent."""

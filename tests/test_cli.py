@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spdbci import cli, mdrm, metrics, online, preprocessing, synthgen
+from spdbci import cli, manifold, mdrm, metrics, online, preprocessing, \
+    synthgen
 from spdbci.estimators import EstimatorSpec
 from spdbci.mdrm import PreprocSpec
 from spdbci.metrics import BenchConfig
@@ -235,6 +236,55 @@ def test_potato_report(tmp_path, trained):
     assert len(lines) == 1 + 16
     doc = json.loads((out / "potato.json").read_text())
     assert doc["kept"] + doc["rejected"] == 16
+
+
+@pytest.fixture(scope="module")
+def carryover_data(tmp_path_factory):
+    """A dataset on which a z threshold of 0.6 rejects trials of several
+    classes and leaves one class whole."""
+    out = tmp_path_factory.mktemp("carryover") / "data"
+    assert run("gen", "--trials-per-class", 4, "--carryover", 2,
+               "--seed", 3, "--out", out) == 0
+    return out
+
+
+def test_train_and_potato_report_the_same_rejections(tmp_path,
+                                                     carryover_data):
+    model_dir, potato_dir = tmp_path / "model", tmp_path / "potato"
+    assert run("train", "--data", carryover_data, "--potato-z", 0.6,
+               "--out", model_dir) == 0
+    assert run("potato", "--data", carryover_data, "--z", 0.6,
+               "--out", potato_dir) == 0
+    trained = json.loads((model_dir / "train_report.json").read_text())
+    doc = json.loads((potato_dir / "potato.json").read_text())
+    assert trained["potato"] == doc
+    # every class is listed, a class that lost no trial with a zero
+    assert doc["rejected_by_class"] == {"1": 2, "2": 1, "3": 3, "4": 0}
+    assert sum(doc["rejected_by_class"].values()) == doc["rejected"] == 6
+    assert doc["kept"] == 10 and doc["z_threshold"] == 0.6
+    # the run manifest holds the flags as given, which rerun the command
+    manifest = json.loads((model_dir / "run_manifest.json").read_text())
+    assert manifest["command"] == "train" and manifest["seed"] == 0
+    assert manifest["config"] == {
+        "data": str(carryover_data), "potato_z": 0.6,
+        "estimator": "schafer", "kappa": None,
+        "blankertz_scale": EstimatorSpec.blankertz_scale,
+        "latency": PreprocSpec.latency_seconds,
+        "half_bandwidth": PreprocSpec.half_bandwidth,
+        "filter_order": PreprocSpec.filter_order,
+        "mean_tol": manifold.DEFAULT_MEAN_TOLERANCE,
+        "mean_max_iter": manifold.DEFAULT_MEAN_MAX_ITERATIONS}
+
+
+def test_potato_that_empties_a_class_advises_a_higher_threshold(
+        tmp_path, carryover_data, capsys):
+    out = tmp_path / "model"
+    assert run("train", "--data", carryover_data, "--potato-z", 0.01,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "removed every trial of class" in err
+    assert "raise the z threshold" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +544,10 @@ def test_train_defaults_are_library_specs(tmp_path, trained_once,
         "--out", tmp_path / "m")
     assert estimator == EstimatorSpec()
     assert preproc == PreprocSpec.for_trial_set(trial_set)
-    assert kwargs == {"potato_z": None}
+    assert kwargs == {
+        "potato_z": None,
+        "mean_tolerance": manifold.DEFAULT_MEAN_TOLERANCE,
+        "mean_max_iterations": manifold.DEFAULT_MEAN_MAX_ITERATIONS}
 
 
 @pytest.mark.parametrize("command", ["embed", "potato"])
@@ -609,6 +662,11 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
     ("gen", ("--stim-freqs", "-5"), "stimulus frequencies must be positive"),
     ("gen", ("--stim-freqs", "13,inf"),
      "stimulus frequencies must be positive and finite"),
+    # 10 ** 308.3 overflows; 10 ** 308 does not, but the gain it sets does
+    ("gen", ("--snr-db", "3083"), "gives a signal gain that is not finite"),
+    ("gen", ("--snr-db", "3080"), "gives a signal gain that is not finite"),
+    ("eval", ("--model", MODEL, "--window", "1e308"),
+     "no finite sample count"),
 ], ids=["train-estimator", "eval-step", "eval-step-below-one-sample",
         "eval-other-sample-rate",
         *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS],
@@ -623,7 +681,8 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
         "train-mean-tol-inf", "bench-lengths-nan", "gen-sample-rate-nan",
         "gen-trial-seconds-nan", "gen-carryover-nan",
         "gen-trial-seconds-overflow", "gen-stim-freqs-negative",
-        "gen-stim-freqs-inf"])
+        "gen-stim-freqs-inf", "gen-snr-overflow", "gen-snr-gain-overflow",
+        "eval-window-overflow"])
 def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
                                     argv, named):
     data, model = trained_once

@@ -54,6 +54,15 @@ def test_itr_chance_level_is_zero():
     assert metrics.itr(0.25, 4, 10.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_itr_at_zero_accuracy_takes_the_limit():
+    # a log2 a -> 0 and (1 - a) log2((1 - a)/(K - 1)) -> -log2(K - 1)
+    for k, rate in ((2, 60.0), (4, 10.0), (7, 12.0)):
+        expected = (math.log2(k) - math.log2(k - 1)) * rate
+        assert metrics.itr(0.0, k, rate) == pytest.approx(expected,
+                                                          rel=1e-12)
+    assert metrics.itr(0.0, 2, 60.0) == 60.0
+
+
 def test_itr_half_accuracy_oracle():
     # direct high-precision evaluation of the bits-per-selection formula
     a, k = 0.5, 4

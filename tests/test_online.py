@@ -240,6 +240,13 @@ def test_config_validation():
         OnlineConfig(theta=1.5)
 
 
+def test_window_without_a_finite_sample_count_is_refused(trained):
+    model, _ = trained
+    config = OnlineConfig(window_seconds=1e308)
+    with pytest.raises(ValidationError, match="no finite sample count"):
+        OnlineState(model, config)
+
+
 # ---------------------------------------------------------------------------
 # stream evaluation
 # ---------------------------------------------------------------------------

@@ -295,6 +295,13 @@ def test_step_shorter_than_a_sample_rejected():
         plan.grid_blocks(FS)
 
 
+def test_sample_counts_that_overflow_are_refused():
+    plan = pp.EpochPlan(1e308, 1e307)
+    for count in (plan.window_samples, plan.step_samples, plan.grid_blocks):
+        with pytest.raises(ValidationError, match="no finite sample count"):
+            count(FS)
+
+
 def test_epoch_count_arithmetic():
     # floor((2560 - 921) / 51) + 1 = 33
     recording = Trial(np.zeros((2, 2560)), FS)
