@@ -12,7 +12,7 @@ of a window's blocks, or of E equal windows stacked (:data:`MOMENT_KINDS`).
 """
 
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -161,13 +161,6 @@ class EstimatorSpec:
             raise ValidationError("fp_tolerance must be positive")
         if self.fp_max_iterations < 1:
             raise ValidationError("fp_max_iterations must be at least 1")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def spec_from_name(name, kappa=EstimatorSpec.kappa,

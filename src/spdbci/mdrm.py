@@ -9,7 +9,7 @@ centers are computed.
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -79,6 +79,8 @@ class PreprocSpec:
     def __post_init__(self):
         object.__setattr__(self, "stim_freqs",
                            tuple(float(f) for f in self.stim_freqs))
+        if not self.stim_freqs:
+            raise ValidationError("at least one stimulus frequency is required")
         check_latency(self.latency_seconds)
         for freq in self.stim_freqs:
             FilterSpec(freq, self.half_bandwidth, self.filter_order,
@@ -108,21 +110,15 @@ class PreprocSpec:
         return cls(stim_freqs=freqs, sample_rate=trial_set.sample_rate,
                    **overrides)
 
-    def to_dict(self):
-        return {**asdict(self), "stim_freqs": list(self.stim_freqs)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class ClassModel:
     """Trained class centers plus everything needed to reapply training
     preprocessing: estimator spec, preprocessing spec, mean solver config.
 
-    The centers are kept as read-only copies, so the factors scoring uses
-    (:attr:`factors`) always belong to them.
+    The centers are kept as read-only copies, validated and factored as
+    the model is built into the :attr:`factors` every epoch is scored
+    against; a model that breaks a rule raises ValidationError.
     """
 
     centers: tuple
@@ -130,19 +126,24 @@ class ClassModel:
     preproc_spec: PreprocSpec
     mean_tolerance: float = manifold.DEFAULT_MEAN_TOLERANCE
     mean_max_iterations: int = manifold.DEFAULT_MEAN_MAX_ITERATIONS
+    factors: manifold.FactoredStack = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         centers = tuple(np.array(c, dtype=float) for c in self.centers)
-        for center in centers:
+        for k, center in enumerate(centers):
+            if center.shape != centers[0].shape:
+                raise ValidationError(f"centers[{k}] has shape {center.shape}, "
+                                      f"centers[0] {centers[0].shape}")
             center.setflags(write=False)
         object.__setattr__(self, "centers", centers)
-
-    @cached_property
-    def factors(self):
-        """The centers validated and factored once, on first use, as the
-        :class:`~spdbci.manifold.FactoredStack` every epoch is scored
-        against; a center that is not SPD raises ValidationError."""
-        return manifold.FactoredStack(self.centers, "centers")
+        object.__setattr__(self, "factors",
+                           manifold.FactoredStack(centers, "centers"))
+        n_freqs = len(self.preproc_spec.stim_freqs)
+        if self.dim % n_freqs:
+            raise ValidationError(
+                f"model dim {self.dim} is not a multiple of the {n_freqs} "
+                f"stimulus frequencies")
 
     @property
     def class_count(self):
@@ -151,6 +152,11 @@ class ClassModel:
     @property
     def dim(self):
         return self.centers[0].shape[0]
+
+    @property
+    def channels(self):
+        """Channels of the raw signal: one band per stimulus frequency."""
+        return self.dim // len(self.preproc_spec.stim_freqs)
 
 
 @dataclass(frozen=True)
@@ -314,8 +320,8 @@ def save_model(model, path):
         "version": MODEL_FORMAT_VERSION,
         "class_count": model.class_count,
         "dim": model.dim,
-        "estimator_spec": model.estimator_spec.to_dict(),
-        "preproc_spec": model.preproc_spec.to_dict(),
+        "estimator_spec": asdict(model.estimator_spec),
+        "preproc_spec": asdict(model.preproc_spec),
         "mean_tolerance": model.mean_tolerance,
         "mean_max_iterations": model.mean_max_iterations,
     }
@@ -332,28 +338,15 @@ def load_model(path):
         raise ManifestError(f"{path} has no model header line")
     header = read_header(line, _HEADER_FIELDS, MODEL_FORMAT_VERSION,
                          "model header")
-    k = header["class_count"]
-    dim = header["dim"]
-    n_freqs = len(header["preproc_spec"]["stim_freqs"])
-    if k < 1 or dim < 1 or n_freqs < 1 or dim % n_freqs:
-        raise ManifestError(
-            f"model header declares {k} classes of dim {dim} over "
-            f"{n_freqs} stimulus frequencies")
+    k, dim = header["class_count"], header["dim"]
     centers = f64_array(payload, (k, dim, dim), "model payload")
     try:
-        estimator_spec = EstimatorSpec.from_dict(header["estimator_spec"])
-        preproc_spec = PreprocSpec.from_dict(header["preproc_spec"])
+        return ClassModel(
+            centers=tuple(centers),
+            estimator_spec=EstimatorSpec(**header["estimator_spec"]),
+            preproc_spec=PreprocSpec(**header["preproc_spec"]),
+            mean_tolerance=header["mean_tolerance"],
+            mean_max_iterations=header["mean_max_iterations"],
+        )
     except ValidationError as exc:
-        raise ManifestError(f"invalid model header: {exc}") from exc
-    model = ClassModel(
-        centers=tuple(centers),
-        estimator_spec=estimator_spec,
-        preproc_spec=preproc_spec,
-        mean_tolerance=header["mean_tolerance"],
-        mean_max_iterations=header["mean_max_iterations"],
-    )
-    try:
-        model.factors  # validated and factored here, once per model
-    except ValidationError as exc:
-        raise ManifestError(f"invalid model payload: {exc}") from exc
-    return model
+        raise ManifestError(f"invalid model: {exc}") from exc

@@ -199,12 +199,7 @@ class OnlineState:
         self.model = model
         self.config = config or OnlineConfig()
         preproc = model.preproc_spec
-        n_freqs = len(preproc.stim_freqs)
-        if model.dim % n_freqs != 0:
-            raise ValidationError(
-                f"model dim {model.dim} is not a multiple of the "
-                f"{n_freqs} stimulus frequencies")
-        self.channels = model.dim // n_freqs
+        self.channels = model.channels
         self.sample_rate = preproc.sample_rate
         plan = self.config.plan()
         self._w = plan.window_samples(self.sample_rate)

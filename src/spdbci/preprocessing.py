@@ -107,7 +107,8 @@ def design_bandpass(spec):
     """Design a causal Butterworth band-pass as second-order sections.
 
     The passband is [center - hb, center + hb] at the spec's order.
-    Designs whose poles leave the unit circle are rejected.
+    Designs whose poles leave the unit circle or whose gain is not finite
+    (very high orders) are rejected.
     """
     # scipy.signal costs most of a second to import (it loads
     # scipy.stats), so only the commands that filter pay for it
@@ -118,14 +119,18 @@ def design_bandpass(spec):
     if low <= 0:
         raise FilterDesignError(
             f"low passband edge {low} Hz must be positive")
-    sos = signal.butter(spec.order // 2, [low, high], btype="bandpass",
-                        fs=spec.sample_rate, output="sos")
-    _, poles, _ = signal.sos2zpk(sos)
-    if np.any(np.abs(poles) >= 1.0):
+    # at high orders the products in the gain overflow to a NaN gain,
+    # which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeros, poles, gain = signal.butter(
+            spec.order // 2, [low, high], btype="bandpass",
+            fs=spec.sample_rate, output="zpk")
+    if not (np.isfinite(gain) and np.all(np.abs(poles) < 1.0)):
         raise FilterDesignError(
-            f"unstable design: pole magnitude {np.abs(poles).max():.6f} "
-            f"for passband [{low}, {high}] Hz at order {spec.order}")
-    return sos
+            f"no usable design: gain {gain:.3g}, largest pole magnitude "
+            f"{np.abs(poles).max():.6f} for passband [{low}, {high}] Hz at "
+            f"order {spec.order}")
+    return signal.zpk2sos(zeros, poles, gain)
 
 
 def design_bands(stim_freqs, half_bandwidth, order, sample_rate):

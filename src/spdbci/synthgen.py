@@ -81,14 +81,29 @@ class GenConfig:
         if not np.isfinite(self.trial_seconds * self.sample_rate):
             raise ValidationError("the sample count trial_seconds * "
                                   "sample_rate must be finite")
+        if self.samples < 1:
+            raise ValidationError(
+                f"a trial of {self.trial_seconds} s at {self.sample_rate} Hz "
+                f"has a sample count of 0")
         object.__setattr__(self, "stim_freqs",
                            tuple(float(f) for f in self.stim_freqs))
-        # the Nyquist limit depends on the half-bandwidth, so the commands
-        # that filter check it
+        # the Nyquist limit of the filter bands depends on the
+        # half-bandwidth, so the commands that filter check it
         if not all(0 < f < np.inf for f in self.stim_freqs):
             raise ValidationError(
                 f"stimulus frequencies must be positive and finite, got "
                 f"{list(self.stim_freqs)}")
+        top = max(self.stim_freqs) * (self.harmonics + 1)
+        if top >= self.sample_rate / 2:
+            raise ValidationError(
+                f"{self.harmonics} harmonics of {max(self.stim_freqs)} Hz "
+                f"reach {top} Hz, at or above the Nyquist frequency "
+                f"{self.sample_rate / 2} Hz")
+
+    @property
+    def samples(self):
+        """Samples per trial: ``round(trial_seconds * sample_rate)``."""
+        return int(round(self.trial_seconds * self.sample_rate))
 
     @property
     def class_count(self):
@@ -159,7 +174,7 @@ def generate(config):
     rng = np.random.default_rng(config.seed)
     c = config.channels
     fs = config.sample_rate
-    n = int(round(config.trial_seconds * fs))
+    n = config.samples
     freqs = config.stim_freqs
     nstim = len(freqs)
     k = config.class_count

@@ -667,6 +667,13 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
     ("gen", ("--snr-db", "3080"), "gives a signal gain that is not finite"),
     ("eval", ("--model", MODEL, "--window", "1e308"),
      "no finite sample count"),
+    ("gen", ("--trial-seconds", 0.001, "--trials-per-class", 1),
+     "sample count of 0"),
+    # refused as the config is built; the overtones alone would be 1e8
+    # sinusoids per trial
+    ("gen", ("--harmonics", 100000000, "--trials-per-class", 1),
+     "Nyquist frequency 128.0 Hz"),
+    ("train", ("--filter-order", 1000), "no usable design"),
 ], ids=["train-estimator", "eval-step", "eval-step-below-one-sample",
         "eval-other-sample-rate",
         *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS],
@@ -682,7 +689,8 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
         "gen-trial-seconds-nan", "gen-carryover-nan",
         "gen-trial-seconds-overflow", "gen-stim-freqs-negative",
         "gen-stim-freqs-inf", "gen-snr-overflow", "gen-snr-gain-overflow",
-        "eval-window-overflow"])
+        "eval-window-overflow", "gen-trial-seconds-no-sample",
+        "gen-harmonics-past-nyquist", "train-filter-order-overflow"])
 def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
                                     argv, named):
     data, model = trained_once
@@ -703,6 +711,17 @@ def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
     # a refusal prints its message alone, with no numpy warning before it
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
+
+
+def test_high_filter_order_trains_without_warnings(tmp_path, trained_once,
+                                                  capsys):
+    data, _ = trained_once
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("train", "--data", data, "--out", tmp_path / "m",
+                   "--filter-order", 40) == 0
+    assert not caught
+    assert capsys.readouterr().err == ""
 
 
 def test_numerical_failure_leaves_no_out(tmp_path, trained_once, capsys):

@@ -353,12 +353,6 @@ def test_spec_rejects_fixed_point_cap_below_one(iterations):
         est.EstimatorSpec(kind="fixed_point", fp_max_iterations=iterations)
 
 
-def test_spec_round_trips_through_dict():
-    spec = est.EstimatorSpec(kind="shrinkage", target="blankertz", kappa=0.1,
-                             blankertz_scale="channels")
-    assert est.EstimatorSpec.from_dict(spec.to_dict()) == spec
-
-
 def test_estimate_dispatch():
     rng = np.random.default_rng(18)
     trial = make_trial(rng.standard_normal((3, 60)))

@@ -336,6 +336,18 @@ def test_centers_are_read_only_copies(tmp_path):
     assert (tmp_path / "again.mdrm").read_bytes() == path.read_bytes()
 
 
+def test_estimator_spec_round_trips_through_model_file(tmp_path):
+    spec = EstimatorSpec(kind="shrinkage", target="blankertz", kappa=0.1,
+                         blankertz_scale="channels")
+    pre = PreprocSpec((13.0, 17.0), 256.0, latency_seconds=0.5)
+    centers = tuple(random_spd(np.random.default_rng(k), 4) for k in range(2))
+    model = ClassModel(centers, spec, pre)
+    back = mdrm.load_model(mdrm.save_model(model, tmp_path / "model.mdrm"))
+    assert back.estimator_spec == spec
+    assert back.preproc_spec == pre
+    assert back.channels == 2
+
+
 @pytest.mark.parametrize("defect", ["asymmetric", "negated", "nan"])
 def test_load_rejects_non_spd_centers(tmp_path, defect):
     from spdbci.errors import ManifestError
@@ -349,13 +361,49 @@ def test_load_rejects_non_spd_centers(tmp_path, defect):
         centers[1] = -centers[1]
     else:
         centers[1][2, 2] = np.nan
-    broken = ClassModel(tuple(centers), model.estimator_spec,
-                        model.preproc_spec)
-    path = mdrm.save_model(broken, tmp_path / "broken.mdrm")
-    with pytest.raises(ManifestError, match=r"centers\[1\]"):
-        mdrm.load_model(path)
     with pytest.raises(ValidationError, match=r"centers\[1\]"):
-        mdrm.classify_covariance(model.centers[0], broken)
+        ClassModel(tuple(centers), model.estimator_spec, model.preproc_spec)
+    # the same defect written over center 1's payload bytes of a good file
+    path = mdrm.save_model(model, tmp_path / "model.mdrm")
+    header, payload = path.read_bytes().split(b"\n", 1)
+    size = 8 * model.dim * model.dim
+    broken = tmp_path / "broken.mdrm"
+    broken.write_bytes(header + b"\n" + payload[:size]
+                       + centers[1].astype("<f8").tobytes()
+                       + payload[2 * size:])
+    with pytest.raises(ManifestError, match=r"centers\[1\]"):
+        mdrm.load_model(broken)
+
+
+def test_preproc_spec_needs_a_stimulus_frequency():
+    with pytest.raises(ValidationError, match="stimulus frequency"):
+        PreprocSpec(stim_freqs=(), sample_rate=256.0)
+
+
+@pytest.mark.parametrize("centers, named", [
+    ((), "nonempty"),
+    ((np.eye(4), np.eye(2)), r"centers\[1\]"),
+    ((np.eye(5), np.eye(5)), "dim 5 is not a multiple of the 2"),
+], ids=["empty", "mixed-size", "dim-not-a-multiple"])
+def test_model_is_refused_at_construction(centers, named):
+    with pytest.raises(ValidationError, match=named):
+        ClassModel(centers, EstimatorSpec(), PreprocSpec((13.0, 17.0), 256.0))
+
+
+def test_load_refuses_dim_not_a_multiple_of_the_stimulus_frequencies(
+        tmp_path):
+    import json
+    from spdbci.errors import ManifestError
+
+    centers = tuple(random_spd(np.random.default_rng(k), 5) for k in range(2))
+    model = ClassModel(centers, EstimatorSpec(), PreprocSpec((13.0,), 256.0))
+    path = mdrm.save_model(model, tmp_path / "model.mdrm")
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(header)
+    doc["preproc_spec"]["stim_freqs"] = [13.0, 17.0]
+    path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    with pytest.raises(ManifestError, match="is not a multiple"):
+        mdrm.load_model(path)
 
 
 def test_model_load_errors(tmp_path):

@@ -7,6 +7,7 @@ import added anywhere in the package fails here instead of silently
 slowing every ``spdbci`` process.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.linalg")
 
 
@@ -60,3 +62,15 @@ def test_filtering_loads_scipy_signal(tmp_path):
         "BandpassFilterBank((13.0,), 2, 256.0)",
     ])
     assert "scipy.signal" in heavy_modules_after(code, tmp_path)
+
+
+def test_console_script_target_resolves(capsys):
+    # the `spdbci` command that an install creates calls this target
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, _, attr = project["project"]["scripts"]["spdbci"].partition(":")
+    main = getattr(importlib.import_module(module), attr)
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert "usage: spdbci" in capsys.readouterr().out
