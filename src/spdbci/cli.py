@@ -155,6 +155,12 @@ def cmd_train(args):
 def cmd_eval(args):
     trial_set = synthgen.load(args.data)
     model = mdrm.load_model(args.model)
+    # labels of other stimuli would be scored against the model's classes
+    recorded = tuple(trial_set.meta.get("stim_freqs", ()))
+    if recorded and recorded != model.preproc_spec.stim_freqs:
+        raise ValidationError(
+            f"the dataset's stimulus frequencies {list(recorded)} differ "
+            f"from the model's {list(model.preproc_spec.stim_freqs)}")
     config = OnlineConfig(window_seconds=args.window, step_seconds=args.step,
                           depth=args.depth, theta=args.theta)
     # "offline opt": the model's preprocessing at --latency; only the

@@ -371,26 +371,29 @@ def karcher_mean(points, tolerance=DEFAULT_MEAN_TOLERANCE,
     if max_iterations < 1:
         raise ValidationError("max_iterations must be at least 1")
     batch = getattr(points, "ndim", None) == 4
-    groups = points if batch else [points]
 
     def name(r, i):
         return f"points[{r}, {i}]" if batch else f"points[{i}]"
 
-    mats = [[symmetrize(p, name(r, i)) for i, p in enumerate(group)]
-            for r, group in enumerate(groups)]
-    if not mats or not mats[0]:
-        raise ValidationError("karcher_mean requires at least one matrix")
-    dim = mats[0][0].shape[0]
-    for i, m in enumerate(mats[0]):
-        if m.shape[0] != dim:
-            raise ValidationError(
-                f"points[{i}] has dim {m.shape[0]}, expected {dim}")
-    pts = np.array(mats)
-    del mats
+    if batch:
+        pts = np.asarray(points, dtype=float)
+    else:
+        mats = [_as_square(p, name(0, i)) for i, p in enumerate(points)]
+        for i, m in enumerate(mats):
+            if m.shape != mats[0].shape:
+                raise ValidationError(f"points[{i}] has dim {m.shape[0]}, "
+                                      f"expected {mats[0].shape[0]}")
+        pts = np.array(mats)[None]
     count, n = pts.shape[:2]
+    if not count or not n:
+        raise ValidationError("karcher_mean requires at least one matrix")
+    dim = _as_square(pts[0, 0], name(0, 0)).shape[0]
+    names = [name(r, i) for r in range(count) for i in range(n)]
+    pts = _symmetrize_stack(pts.reshape(count * n, dim, dim),
+                            names).reshape(pts.shape)
     if n == 1:
         for r in range(count):
-            _eigh_spd(pts[r, 0], name(r, 0))
+            _eigh_spd(pts[r, :1], name(r, 0))
         return pts[:, 0] if batch else pts[0, 0]
     result = np.empty((count, dim, dim))
     residual = np.empty(count)

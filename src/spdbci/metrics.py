@@ -128,6 +128,8 @@ class BenchConfig:
             raise ValidationError("at least one trial length is required")
         if not all(length > 0 for length in self.trial_lengths_seconds):
             raise ValidationError("trial lengths must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 def estimator_label(spec):
@@ -184,36 +186,19 @@ def _crop(trial, length_seconds):
     return Trial(trial.values[:, :count], trial.sample_rate)
 
 
-class _Estimates:
-    """One spec's covariances, mean kappa (shrinkage only) and stalled
-    count, estimated one trial at a time by :meth:`add`.
+def _estimate(trial, spec):
+    """``(covariance, kappa or None, stalled)`` of one trial under ``spec``.
 
     A fixed-point estimate that runs out of iterations (some short crops
     need more than the default cap) is scored at its last iterate and
     counted, rather than aborting the whole comparison.
     """
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.covs, self.kappas, self.stalled = [], [], 0
-
-    def add(self, trial):
-        if self.spec.kind == "shrinkage":
-            cov, kappa = shrinkage_with_kappa(trial, self.spec)
-            self.kappas.append(kappa)
-        else:
-            try:
-                cov = estimate(trial, self.spec)
-            except ConvergenceError as exc:
-                cov = exc.last_iterate
-                self.stalled += 1
-        self.covs.append(cov)
-
-    def result(self):
-        """``(covariances, mean kappa or None, stalled count)``."""
-        kappa = float(np.mean(self.kappas)) \
-            if self.spec.kind == "shrinkage" else None
-        return self.covs, kappa, self.stalled
+    if spec.kind == "shrinkage":
+        return *shrinkage_with_kappa(trial, spec), False
+    try:
+        return estimate(trial, spec), None, False
+    except ConvergenceError as exc:
+        return exc.last_iterate, None, True
 
 
 def benchmark_pools(trial_set, config, preproc):
@@ -250,8 +235,9 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
     always evaluated as the baseline for the discrimination-improvement
     column. Each spec is scored on its own covariances; resampling reuses
     the same trials across replications, so each (length, spec, trial)
-    covariance is computed exactly once. Trials are cropped, filtered and
-    estimated under every spec one at a time, so one filtered trial is
+    covariance is computed exactly once; a spec listed twice is estimated
+    and scored once and gives two equal rows. Trials are cropped, filtered
+    and estimated under every spec one at a time, so one filtered trial is
     held at once, not a whole length's. A class mean or a fixed-point
     estimate that stalls is scored at its last iterate and counted in the
     ``unconverged_means`` or ``unconverged_estimates`` column.
@@ -316,24 +302,25 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
             runs.append((predictions, scores, truth, int(stalled[r])))
         return runs
 
+    scm = EstimatorSpec(kind="scm")
+    # an scm spec is scored on the baseline's estimates and splits
+    specs = [scm if estimator_label(spec) == "scm" else spec
+             for spec in config.estimators]
     rows = []
     for length in config.trial_lengths_seconds:
-        baseline = _Estimates(EstimatorSpec(kind="scm"))
-        # an scm spec is scored on the baseline's estimates and splits
-        estimates = [baseline if estimator_label(spec) == "scm"
-                     else _Estimates(spec) for spec in config.estimators]
-        distinct = [baseline] + [e for e in estimates if e is not baseline]
+        # per distinct spec, the (covariance, kappa, stalled) of each trial
+        estimates = {spec: [] for spec in (scm, *specs)}
         # each filtered trial is estimated under every spec, then dropped
         # before the next one is filtered
         for t in trial_set.trials:
             trial = preprocess_trial(_crop(t, length), preproc)
-            for spec_estimates in distinct:
-                spec_estimates.add(trial)
-        scm_runs = evaluate_splits(baseline.covs)
-        for spec, spec_estimates in zip(config.estimators, estimates):
-            covs, kappa, stalled_estimates = spec_estimates.result()
-            runs = scm_runs if spec_estimates is baseline \
-                else evaluate_splits(covs)
+            for spec, per_trial in estimates.items():
+                per_trial.append(_estimate(trial, spec))
+        scm_runs = evaluate_splits([cov for cov, _, _ in estimates[scm]])
+        scored = {}
+        for spec in dict.fromkeys(specs):
+            covs, kappas, stalled_estimates = zip(*estimates[spec])
+            runs = scm_runs if spec == scm else evaluate_splits(covs)
             accs, itrs, idis = [], [], []
             stalled_total = 0
             for (preds, scores, truth, stalled), (_, scm_scores, _, _) in \
@@ -345,7 +332,7 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
                 stalled_total += stalled
             cond = float(np.mean([manifold.condition_ratio(c)
                                   for c in covs]))
-            rows.append(BenchRow(
+            scored[spec] = BenchRow(
                 estimator=estimator_label(spec),
                 length_seconds=float(length),
                 acc_mean=float(np.mean(accs)),
@@ -354,10 +341,12 @@ def run_benchmark(trial_set, config=None, preproc=None, threads=1):
                 itr_std=float(np.std(itrs)),
                 cond_mean=cond,
                 idi_mean=float(np.mean(idis)),
-                kappa_mean=kappa,
+                kappa_mean=(float(np.mean(kappas))
+                            if spec.kind == "shrinkage" else None),
                 unconverged_means=stalled_total,
-                unconverged_estimates=stalled_estimates,
-            ))
+                unconverged_estimates=sum(stalled_estimates),
+            )
+        rows += [scored[spec] for spec in specs]
     return BenchReport(rows=rows, replications=config.replications,
                        seed=config.seed)
 

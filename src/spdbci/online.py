@@ -187,6 +187,21 @@ class _Gate:
         )
 
 
+def _checked_frame(frame, channels):
+    """``frame`` as a (channels x m) float array, refused unless it is
+    real, finite, 1-D or 2-D, with ``channels`` rows."""
+    frame = real_samples(frame, "frame")
+    if frame.ndim == 1:
+        frame = frame[:, None]
+    if frame.ndim != 2:
+        raise ValidationError(f"frame must be 1-D or 2-D, got {frame.ndim}-D")
+    if frame.shape[0] != channels:
+        raise ValidationError(
+            f"frame has {frame.shape[0]} channels, stream expects {channels}")
+    check_finite(frame, "frame")
+    return frame
+
+
 class OnlineState:
     """Single-stream state machine: push samples in, collect decisions out.
 
@@ -242,17 +257,7 @@ class OnlineState:
         unfiltered samples wait for the next push, and the decisions of
         the push's earlier stacks are only in the epoch log.
         """
-        frame = real_samples(frame, "frame")
-        if frame.ndim == 1:
-            frame = frame[:, None]
-        if frame.ndim != 2:
-            raise ValidationError(
-                f"frame must be 1-D or 2-D, got {frame.ndim}-D")
-        if frame.shape[0] != self.channels:
-            raise ValidationError(
-                f"frame has {frame.shape[0]} channels, stream expects "
-                f"{self.channels}")
-        check_finite(frame, "frame")
+        frame = _checked_frame(frame, self.channels)
         raw = np.hstack([self._raw, frame])
         self.samples_seen += frame.shape[1]
         decisions, pending = [], []
@@ -376,9 +381,19 @@ def evaluate_stream(trial_set, model, config=None):
     Each trial's outcome is the first decision whose closing sample falls
     inside that trial, with delay measured from trial onset; trials where
     the gates never fire are held back. Accuracy is reported over decided
-    trials only. Every trial must be at the model's sample rate.
+    trials only. Every trial must be at the model's sample rate. A window
+    longer than the whole stream ends no epoch: every trial is held back,
+    and no stream state is built.
     """
     config = config or OnlineConfig()
+    plan = config.plan()
+    rate = model.preproc_spec.sample_rate
+    plan.grid_blocks(rate)  # refuses a window or step as OnlineState would
+    if plan.window_samples(rate) > sum(t.samples for t in trial_set.trials):
+        for trial in trial_set.trials:
+            model.preproc_spec.check_sample_rate(trial.sample_rate)
+            _checked_frame(trial.values, model.channels)
+        return _stream_report(trial_set, config, [], [])
     state = OnlineState(model, config)
     decisions = []
     for trial in trial_set.trials:

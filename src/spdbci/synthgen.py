@@ -74,6 +74,8 @@ class GenConfig:
             raise ValidationError("harmonics must be nonnegative")
         if self.transition_carryover_seconds < 0:
             raise ValidationError("transition carryover must be nonnegative")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         for name in ("sample_rate", "trial_seconds", "snr_db",
                      "transition_carryover_seconds"):
             if not np.isfinite(getattr(self, name)):

@@ -187,6 +187,21 @@ def test_eval_deterministic(tmp_path, trained):
         assert sha(out1 / name) == sha(out2 / name)
 
 
+def test_eval_window_longer_than_the_stream_holds_every_trial_back(
+        tmp_path, trained_once):
+    data, model = trained_once
+    out = tmp_path / "eval"
+    assert run("eval", "--data", data, "--model", model, "--out", out,
+               "--window", "1e9") == 0
+    summary = json.loads((out / "eval.json").read_text())
+    trials = len(synthgen.load(data).trials)
+    assert summary["online_decided"] == summary["online_curve_decided"] == 0
+    assert summary["online_held_back"] == trials
+    assert summary["online_curve_held_back"] == trials
+    assert summary["online_acc"] is None
+    assert len((out / "epochs_online.csv").read_text().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------
@@ -611,6 +626,8 @@ MODEL = object()
 FAST_DATA = object()
 # stands for a dataset of one trial per class, too few to bench
 ONE_PER_CLASS = object()
+# stands for a dataset recorded at stimuli the model was not trained on
+OTHER_STIMULI = object()
 LEAVES_NO_TRIAL = "latency of 2304 samples leaves no data in a 1280-sample"
 LEAVES_NO_CROP = "latency of 256 samples leaves no data in a 128-sample"
 MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
@@ -674,6 +691,11 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
     ("gen", ("--harmonics", 100000000, "--trials-per-class", 1),
      "Nyquist frequency 128.0 Hz"),
     ("train", ("--filter-order", 1000), "no usable design"),
+    ("gen", ("--seed", -1), "seed must be nonnegative, got -1"),
+    ("bench", ("--seed", -1), "seed must be nonnegative, got -1"),
+    ("eval", ("--model", MODEL, "--data", OTHER_STIMULI),
+     "stimulus frequencies [10.0, 12.0] differ from the model's "
+     "[13.0, 17.0, 21.0]"),
 ], ids=["train-estimator", "eval-step", "eval-step-below-one-sample",
         "eval-other-sample-rate",
         *[f"embed-model{f[0]}" for f in MODEL_SPEC_FLAGS],
@@ -690,7 +712,8 @@ MODEL_SPEC_FLAGS = [("--estimator", "scm"), ("--kappa", 0.3),
         "gen-trial-seconds-overflow", "gen-stim-freqs-negative",
         "gen-stim-freqs-inf", "gen-snr-overflow", "gen-snr-gain-overflow",
         "eval-window-overflow", "gen-trial-seconds-no-sample",
-        "gen-harmonics-past-nyquist", "train-filter-order-overflow"])
+        "gen-harmonics-past-nyquist", "train-filter-order-overflow",
+        "gen-negative-seed", "bench-negative-seed", "eval-other-stimuli"])
 def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
                                     argv, named):
     data, model = trained_once
@@ -700,6 +723,9 @@ def test_refused_flags_leave_no_out(tmp_path, trained_once, capsys, command,
                                     sample_rate=512.0)
     if ONE_PER_CLASS in argv:
         fill[ONE_PER_CLASS] = gen_small(tmp_path, "one", trials_per_class=1)
+    if OTHER_STIMULI in argv:
+        fill[OTHER_STIMULI] = gen_small(tmp_path, "other", trials_per_class=2,
+                                        stim_freqs="10,12")
     out = tmp_path / command
     data_flag = () if command == "gen" else ("--data", data)
     with warnings.catch_warnings(record=True) as caught:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import linalg
 
 from spdbci import manifold, mdrm
@@ -715,6 +715,27 @@ def test_batch_mean_errors_name_the_point(spoil, message):
     points[1, 2] = spoil(points[1, 2])
     with pytest.raises(ValidationError, match=rf"points\[1, 2\] {message}"):
         manifold.karcher_mean(points)
+
+
+def test_mean_of_ragged_points_names_the_odd_one():
+    with pytest.raises(ValidationError,
+                       match=r"points\[1\] has dim 3, expected 2"):
+        manifold.karcher_mean([np.eye(2), np.eye(3)])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mean_validates_points_in_one_stack_pass(monkeypatch, n):
+    rng = np.random.default_rng(24)
+    points = np.array([[random_spd(rng, 3) for _ in range(n)]
+                       for _ in range(2)])
+    expected = manifold.karcher_mean(points)
+    calls = []
+    symmetrize = manifold.symmetrize
+    monkeypatch.setattr(manifold, "symmetrize",
+                        lambda *a: calls.append(a) or symmetrize(*a))
+    assert_array_equal(manifold.karcher_mean(points), expected)
+    assert_array_equal(manifold.karcher_mean(list(points[0])), expected[0])
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

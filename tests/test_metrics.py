@@ -411,10 +411,35 @@ def _reference_splits(ts, config):
     return splits
 
 
+def _reference_estimates(trials, spec):
+    """``(covariances, mean kappa or None, stalled count)`` of one spec:
+    shrinkage through ``shrinkage_with_kappa``, the rest through
+    ``estimate``, a stalled fixed point scored at its last iterate."""
+    from spdbci.errors import ConvergenceError
+    from spdbci.estimators import estimate, shrinkage_with_kappa
+
+    covs, kappas, stalled = [], [], 0
+    for trial in trials:
+        if spec.kind == "shrinkage":
+            cov, kappa = shrinkage_with_kappa(trial, spec)
+            kappas.append(kappa)
+        else:
+            try:
+                cov = estimate(trial, spec)
+            except ConvergenceError as exc:
+                cov = exc.last_iterate
+                stalled += 1
+        covs.append(cov)
+    kappa = float(np.mean(kappas)) if spec.kind == "shrinkage" else None
+    return covs, kappa, stalled
+
+
 def _reference_rows(ts, config, pre):
     """``run_benchmark``'s rows computed one split at a time: one Karcher
-    mean per class and split, one distance call per test trial."""
+    mean per class and split, one distance call per test trial, every
+    spec estimated on its own."""
     from spdbci.errors import ConvergenceError
+    from spdbci.estimators import Trial
     from spdbci.mdrm import preprocess_trial
 
     k = ts.class_count
@@ -439,17 +464,13 @@ def _reference_rows(ts, config, pre):
 
     rows = []
     for length in config.trial_lengths_seconds:
-        baseline, *estimates = [
-            metrics._Estimates(spec)
-            for spec in (EstimatorSpec(kind="scm"), *config.estimators)]
-        for t in ts.trials:
-            trial = preprocess_trial(metrics._crop(t, length), pre)
-            for spec_estimates in (baseline, *estimates):
-                spec_estimates.add(trial)
-        scm_covs = baseline.result()[0]
+        trials = [preprocess_trial(Trial(
+            t.values[:, :int(np.floor(length * t.sample_rate))],
+            t.sample_rate), pre) for t in ts.trials]
+        scm_covs = _reference_estimates(trials, EstimatorSpec(kind="scm"))[0]
         scm_runs = [evaluate_split(tr, te, scm_covs) for tr, te in splits]
-        for spec, spec_estimates in zip(config.estimators, estimates):
-            covs, kappa, stalled_estimates = spec_estimates.result()
+        for spec in config.estimators:
+            covs, kappa, stalled_estimates = _reference_estimates(trials, spec)
             runs = [evaluate_split(tr, te, covs) for tr, te in splits]
             accs = [metrics.accuracy(p, t) for p, _, t, _ in runs]
             itrs = [metrics.itr(a / 100.0, k, 60.0 / length) for a in accs]
@@ -489,3 +510,48 @@ def test_benchmark_rows_match_per_split_reference():
     assert max(stalled) < config.replications * ts.class_count
     assert any(len(set(train)) < len(train)
                for train, _ in _reference_splits(ts, config))
+
+
+def test_benchmark_stalled_estimates_match_reference():
+    # a 1-iteration cap stalls the fixed point on every trial
+    from dataclasses import astuple
+
+    from spdbci.mdrm import PreprocSpec
+
+    ts = synthgen.generate(synthgen.GenConfig(trials_per_class=3, seed=5))
+    pre = PreprocSpec.for_trial_set(ts)
+    config = metrics.BenchConfig(
+        replications=2, trial_lengths_seconds=(1.0,),
+        estimators=(EstimatorSpec(kind="fixed_point", fp_max_iterations=1),),
+        seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = metrics.run_benchmark(ts, config, pre)
+        reference = _reference_rows(ts, config, pre)
+    assert [astuple(row) for row in report.rows] == reference
+    assert report.rows[0].unconverged_estimates == len(ts.trials)
+
+
+def test_benchmark_estimates_a_repeated_spec_once(bench_inputs, monkeypatch):
+    from dataclasses import astuple
+
+    ts, pre = bench_inputs
+    calls = []
+    shrinkage_with_kappa = metrics.shrinkage_with_kappa
+
+    def counted(trial, spec):
+        calls.append(spec)
+        return shrinkage_with_kappa(trial, spec)
+
+    monkeypatch.setattr(metrics, "shrinkage_with_kappa", counted)
+    schafer = EstimatorSpec(target="schafer")
+    config = metrics.BenchConfig(replications=2,
+                                 trial_lengths_seconds=(1.0, 2.0),
+                                 estimators=(schafer, schafer), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = [astuple(r) for r in metrics.run_benchmark(ts, config, pre).rows]
+    # one row per listed spec and length, the repeats equal
+    assert len(rows) == 4 and rows[0] == rows[1] and rows[2] == rows[3]
+    assert rows[0][0] == "schafer" and rows[0][8] is not None
+    assert len(calls) == len(ts.trials) * len(config.trial_lengths_seconds)

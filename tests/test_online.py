@@ -712,6 +712,31 @@ def test_regate_scores_the_set_it_was_given(carryover_scored):
     assert again == scored
 
 
+def test_window_longer_than_the_stream_holds_every_trial_back(trained):
+    # its moment ring would be ~88 TiB; no stream state is built
+    model, test = trained
+    report = online.evaluate_stream(test, model,
+                                    OnlineConfig(window_seconds=1e9))
+    assert report.epoch_log == [] and report.decisions == []
+    assert report.held_back_count == len(test.trials)
+    assert report.decided_count == 0 and report.accuracy is None
+
+
+@pytest.mark.parametrize("gen, message", [
+    ({"sample_rate": 512.0}, "sample rate 512.0"),
+    ({"channels": 4}, "frame has 4 channels, stream expects 8"),
+], ids=["sample-rate", "channels"])
+def test_window_longer_than_the_stream_keeps_the_refusals(trained, gen,
+                                                          message):
+    model, _ = trained
+    other = synthgen.generate(synthgen.GenConfig(trials_per_class=1, seed=1,
+                                                 **gen))
+    for window in (OnlineConfig().window_seconds, 1e9):
+        with pytest.raises(ValidationError, match=message):
+            online.evaluate_stream(other, model,
+                                   OnlineConfig(window_seconds=window))
+
+
 def test_stream_rejects_other_sample_rate(trained):
     model, _ = trained
     fast = synthgen.generate(synthgen.GenConfig(
